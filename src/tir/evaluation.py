@@ -13,9 +13,11 @@ import enum
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest, extract_features
-from .matching import ThresholdConfig, corner_filter, rank_by_moments
+from .matching import FeatureColumns, ThresholdConfig, corner_filter, rank_by_moments
 from .parallel import map_ordered
 
 
@@ -113,23 +115,25 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
 
 
 def _retrieved_ids(
-    db: FeatureDatabase,
+    candidates: FeatureColumns,
     query_count: int,
     query_hu,
     mode: EvalMode,
     threshold_cfg: ThresholdConfig,
     k: int,
-    exclude_path: str | None,
 ) -> list[int]:
-    records = [r for r in db.records if r.path != exclude_path] if exclude_path else list(db.records)
-    if mode is EvalMode.CORNER_ONLY:
-        passing = corner_filter(query_count, records, threshold_cfg)
-        passing.sort(key=lambda r: (abs(r.corner_count - query_count), r.record_id))
-        return [r.record_id for r in passing[:k]]
+    """Record ids of the top-k candidates in one mode.
+
+    Corner-only mode orders the window's survivors by corner-count
+    difference, ties broken on record_id.
+    """
     if mode is EvalMode.MOMENTS_ONLY:
-        return [m.record_id for m in rank_by_moments(query_hu, records, k)]
-    candidates = corner_filter(query_count, records, threshold_cfg)
-    return [m.record_id for m in rank_by_moments(query_hu, candidates, k)]
+        return [m.record_id for m in rank_by_moments(query_hu, candidates, k)]
+    passing = corner_filter(query_count, candidates, threshold_cfg)
+    if mode is EvalMode.HYBRID:
+        return [m.record_id for m in rank_by_moments(query_hu, passing, k)]
+    order = np.lexsort((passing.record_ids, np.abs(passing.corner_counts - query_count)))
+    return passing.record_ids[order[:k]].tolist()
 
 
 def evaluate(
@@ -155,6 +159,8 @@ def evaluate(
     for record in db.records:
         by_class.setdefault(record.class_label, set()).add(record.record_id)
     by_path = {record.path: record.record_id for record in db.records}
+    paths = np.array([record.path for record in db.records], dtype=str)
+    columns = db.columns  # built here, not by racing worker threads
 
     def one(entry: tuple[str, str]) -> QueryResult:
         rel_path, label = entry
@@ -164,10 +170,12 @@ def evaluate(
                 image = rgb_to_gray(image)
             count, hu = extract_features(image, cfg.edge, cfg.corners)
             relevant = set(by_class.get(label, set()))
-            exclude_path = rel_path if exclude_self else None
-            if exclude_self and rel_path in by_path:
-                relevant.discard(by_path[rel_path])
-            retrieved = _retrieved_ids(db, count, hu, mode, threshold_cfg, k, exclude_path)
+            candidates = columns
+            if exclude_self:
+                candidates = columns.select(paths != rel_path)
+                if rel_path in by_path:
+                    relevant.discard(by_path[rel_path])
+            retrieved = _retrieved_ids(candidates, count, hu, mode, threshold_cfg, k)
             point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
         except Exception as exc:
             raise RuntimeError(f"query {rel_path!r}: {exc}") from exc

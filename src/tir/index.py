@@ -13,13 +13,15 @@ per line; lines starting with `#` are comments.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corners import CornerConfig, corner_count
 from .edge import EdgeConfig
 from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray
-from .matching import RankedMatch, ThresholdConfig, corner_filter, rank_by_moments
+from .matching import FeatureColumns, RankedMatch, ThresholdConfig, corner_filter, rank_by_moments
 from .moments import HuVector, hu_moments
 from .parallel import map_ordered
 
@@ -92,6 +94,15 @@ class FeatureDatabase:
 
     def by_id(self) -> dict[int, FeatureRecord]:
         return {r.record_id: r for r in self.records}
+
+    @cached_property
+    def columns(self) -> FeatureColumns:
+        """Columnar view of the records, in record order, built on first use.
+
+        Loading a database does not build it, so a caller that never
+        retrieves does not pay for it.
+        """
+        return FeatureColumns.from_records(self.records)
 
 
 @dataclass(frozen=True)
@@ -189,7 +200,23 @@ def save_index(db: FeatureDatabase, path) -> None:
         fields = [str(r.record_id), r.path, r.class_label, str(r.corner_count)]
         fields += [_fmt_real(v) for v in r.hu]
         lines.append("\t".join(fields))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to a new file beside `path`, then rename it over `path`.
+
+    Readers see the old file or the new one, never a partial write; a failed
+    write leaves the old file as it was and removes the new one.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            out.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_cfg_line(line: str, path) -> ExtractionConfig:
@@ -275,5 +302,5 @@ def query(
         image = rgb_to_gray(image)
     cfg = db.extraction_config
     count, hu = extract_features(image, cfg.edge, cfg.corners)
-    candidates = corner_filter(count, db.records, threshold_cfg)
+    candidates = corner_filter(count, db.columns, threshold_cfg)
     return rank_by_moments(hu, candidates, k, query_corner_count=count, log_scale=log_scale)

@@ -4,13 +4,20 @@ window, corner-band candidate filtering and moment-based ranking.
 The window around a query's corner count widens multiplicatively with the
 count band: Threshold = base_threshold * multiplier^floor(count / band_width),
 a step function that keeps the acceptance window proportional to the count.
+
+Filtering and ranking run on `FeatureColumns`, a columnar view of feature
+records, as numpy operations over whole columns; record sequences are
+converted to that view, so each stage has one implementation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from .moments import HuVector
 
@@ -49,8 +56,9 @@ class ThresholdWindow:
         if self.min_t > self.max_t:
             raise ValueError(f"window is inverted: ({self.min_t}, {self.max_t})")
 
-    def contains(self, count: int) -> bool:
-        return self.min_t <= count <= self.max_t
+    def contains(self, count):
+        """Whether `count` lies in the window; element-wise for an array of counts."""
+        return (self.min_t <= count) & (count <= self.max_t)
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,21 @@ class RankedMatch:
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """sqrt of the summed squared component differences."""
+    """sqrt of the summed squared component differences.
+
+    Squares are products and the sum runs left to right, as in
+    `rank_by_moments`, so both give the same bits. (`** 2` goes through the C
+    library's pow, which is not always correctly rounded, and Python 3.12's
+    `sum` compensates rounding; either would break that agreement.)
+    """
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 1:
         raise ValueError("vectors must have at least one component")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += (x - y) * (x - y)
+    return math.sqrt(total)
 
 
 def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) -> ThresholdWindow:
@@ -88,12 +105,20 @@ def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) 
 
 def corner_filter(
     query_count: int,
-    records: Iterable["FeatureRecord"],
+    records: "FeatureColumns | Iterable[FeatureRecord]",
     config: ThresholdConfig = ThresholdConfig(),
-) -> list["FeatureRecord"]:
-    """Records whose corner count falls in the query's window, input order preserved."""
+) -> "FeatureColumns | list[FeatureRecord]":
+    """Records whose corner count falls in the query's window, input order preserved.
+
+    A `FeatureColumns` view gives a view of the survivors; any other iterable
+    of records gives a list of the surviving records.
+    """
     window = adaptive_threshold(query_count, config)
-    return [record for record in records if window.contains(record.corner_count)]
+    if isinstance(records, FeatureColumns):
+        return records.select(window.contains(records.corner_counts))
+    records = list(records)
+    counts = np.array([r.corner_count for r in records], dtype=np.int64)
+    return list(itertools.compress(records, window.contains(counts)))
 
 
 def log_magnitude(values: Iterable[float]) -> tuple[float, ...]:
@@ -106,9 +131,46 @@ def log_magnitude(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(math.copysign(1.0, v) * math.log10(abs(v) + LOG_EPSILON) if v != 0.0 else 0.0 for v in values)
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureColumns:
+    """Columnar view of feature records: row i of every column is one record.
+
+    `hu` holds the raw invariants and `log_hu` their `log_magnitude`; both
+    are (n, 7) float64, the other two columns int64 of length n.
+    """
+
+    record_ids: np.ndarray
+    corner_counts: np.ndarray
+    hu: np.ndarray
+    log_hu: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable["FeatureRecord"]) -> "FeatureColumns":
+        records = list(records)
+        return cls(
+            record_ids=np.array([r.record_id for r in records], dtype=np.int64),
+            corner_counts=np.array([r.corner_count for r in records], dtype=np.int64),
+            hu=np.array([r.hu.phi for r in records], dtype=np.float64).reshape(-1, 7),
+            # log_magnitude, not np.log10: the two differ in the last bit for
+            # some inputs, and distances must not depend on which path ran.
+            log_hu=np.array([log_magnitude(r.hu) for r in records], dtype=np.float64).reshape(-1, 7),
+        )
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def select(self, mask: np.ndarray) -> "FeatureColumns":
+        """The rows where the boolean `mask` is true, in view order."""
+        rows = np.flatnonzero(mask)  # one index array for all four columns
+        return FeatureColumns(
+            self.record_ids.take(rows), self.corner_counts.take(rows),
+            self.hu.take(rows, axis=0), self.log_hu.take(rows, axis=0),
+        )
+
+
 def rank_by_moments(
     query_hu: HuVector,
-    candidates: Sequence["FeatureRecord"],
+    candidates: "FeatureColumns | Sequence[FeatureRecord]",
     k: int,
     *,
     query_corner_count: int | None = None,
@@ -118,16 +180,23 @@ def rank_by_moments(
 
     Distances are Euclidean over log-scaled invariants unless `log_scale` is
     off. `query_corner_count`, when given, fills each match's
-    corner_difference for inspection.
+    corner_difference for inspection. `candidates` is a `FeatureColumns`
+    view or a sequence of records.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_vec = log_magnitude(query_hu) if log_scale else tuple(query_hu)
-    scored = []
-    for record in candidates:
-        rec_vec = log_magnitude(record.hu) if log_scale else tuple(record.hu)
-        distance = euclidean_distance(query_vec, rec_vec)
-        difference = abs(query_corner_count - record.corner_count) if query_corner_count is not None else 0
-        scored.append(RankedMatch(record.record_id, difference, distance))
-    scored.sort(key=lambda match: (match.moment_distance, match.record_id))
-    return scored[:k]
+    cols = candidates if isinstance(candidates, FeatureColumns) else FeatureColumns.from_records(candidates)
+    query_vec = np.array(log_magnitude(query_hu) if log_scale else tuple(query_hu), dtype=np.float64)
+    # numpy squares by multiplication and adds a 7-element row left to right,
+    # so every distance has the bits of euclidean_distance.
+    distances = np.sqrt((((cols.log_hu if log_scale else cols.hu) - query_vec) ** 2).sum(axis=1))
+    shortlist = np.arange(len(cols))
+    if k < len(cols):
+        # Everything as close as the k-th distance stays, so ties reach the sort.
+        shortlist = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
+    rows = shortlist[np.lexsort((cols.record_ids[shortlist], distances[shortlist]))[:k]]
+    differences = [0] * len(rows)
+    if query_corner_count is not None:
+        differences = np.abs(cols.corner_counts[rows] - query_corner_count).tolist()
+    ids, row_distances = cols.record_ids[rows].tolist(), distances[rows].tolist()
+    return [RankedMatch(*match) for match in zip(ids, differences, row_distances)]

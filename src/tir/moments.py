@@ -76,8 +76,12 @@ def _integer_raw_moments(pix: np.ndarray) -> dict[tuple[int, int], int]:
     h, w = pix.shape
     f = pix.astype(np.int64)
     xs = np.arange(w, dtype=np.int64)
-    # Row partials sum_x x^p f(x, y) stay within int64 for any realistic width;
-    # the y accumulation runs in Python integers to keep the result exact.
+    # The row partials sum_x x^p f(x, y) are at most 255 * sum_x x^3 =
+    # 255 * (w (w - 1) / 2)^2, which reaches 2^63 from w = 19504 on; there
+    # int64 would wrap silently, so wider rows take exact Python integers.
+    # The y accumulation always runs in Python integers.
+    if 255 * (w * (w - 1) // 2) ** 2 >= 2**63:
+        f, xs = f.astype(object), xs.astype(object)
     moments: dict[tuple[int, int], int] = {}
     for p in range(MAX_ORDER + 1):
         row = [int(v) for v in f @ (xs**p)]

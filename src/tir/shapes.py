@@ -103,12 +103,19 @@ def _star_points(center: tuple[float, float], outer: float, inner: float,
     return pts
 
 
+_DESIGN_SIZE = 128
 _C = (63.5, 63.5)
 
 
 def benchmark_shapes(size: int = 128, intensity: int = 255) -> list[tuple[str, GrayImage]]:
-    """The 18 named base shapes used by the retrieval benchmark, in fixed order."""
-    xx, yy = _grid(size, 4)
+    """The 18 named base shapes used by the retrieval benchmark, in fixed order.
+
+    The shapes are laid out in the coordinates of a 128-px image; at other
+    sizes the sample grid is scaled by 128/size, image edge onto image edge,
+    so each shape covers the same part of the image at every size.
+    """
+    scale = _DESIGN_SIZE / size
+    xx, yy = ((c + 0.5) * scale - 0.5 for c in _grid(size, 4))
 
     def poly(vertices, rotate_deg: float = 0.0) -> np.ndarray:
         pts = rotated_points(vertices, rotate_deg, _C) if rotate_deg else vertices

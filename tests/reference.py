@@ -176,3 +176,44 @@ def euclidean(a, b) -> float:
     for x, y in zip(a, b):
         total += (x - y) * (x - y)
     return math.sqrt(total)
+
+
+def integer_raw_moment(pix, p: int, q: int) -> int:
+    """m_pq in exact Python integers."""
+    return sum(x**p * y**q * int(value) for y, row in enumerate(pix) for x, value in enumerate(row))
+
+
+# ---------------------------------------------------------------------------
+# Retrieval, one record at a time. Records are anything with record_id,
+# corner_count and hu attributes.
+
+
+def log_magnitude(values) -> tuple[float, ...]:
+    return tuple(0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0) * math.log10(abs(v) + 1e-30) for v in values)
+
+
+def corner_window(count: int, band_width: int, base_threshold: float, multiplier: float):
+    threshold = base_threshold * multiplier ** (count // band_width)
+    return max(0.0, count - threshold), count + threshold
+
+
+def in_window(records, query_count: int, window_args) -> list:
+    lo, hi = corner_window(query_count, *window_args)
+    return [r for r in records if lo <= r.corner_count <= hi]
+
+
+def rank(query_hu, records, k: int, query_count=None, log_scale: bool = True) -> list[tuple[int, int, float]]:
+    """(record_id, corner difference, distance) of the k nearest records, ties on record_id."""
+    scale = log_magnitude if log_scale else tuple
+    q = scale(query_hu)
+    scored = []
+    for r in records:
+        difference = abs(r.corner_count - query_count) if query_count is not None else 0
+        scored.append((euclidean(q, scale(r.hu)), r.record_id, difference))
+    scored.sort()
+    return [(record_id, difference, distance) for distance, record_id, difference in scored[:k]]
+
+
+def corner_rank(query_count: int, records, k: int) -> list[int]:
+    """Ids of the k records nearest in corner count, ties on record_id."""
+    return [r.record_id for r in sorted(records, key=lambda r: (abs(r.corner_count - query_count), r.record_id))[:k]]

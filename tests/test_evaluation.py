@@ -12,7 +12,7 @@ from tir.evaluation import (
     recall,
 )
 from tir.imaging import load_image, save_pgm
-from tir.index import ExtractionConfig, Manifest, build_index
+from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
 
@@ -191,6 +191,19 @@ class TestEvaluate:
         serial = evaluate(db, manifest, root, EvalMode.HYBRID, k=3)
         parallel = evaluate(db, manifest, root, EvalMode.HYBRID, k=3, jobs=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_two_jobs_match_one_on_a_fresh_database(self, small_eval, mode, exclude_self):
+        # A fresh database has not built its columnar view yet, so the
+        # two-job run is the one that builds it.
+        root, manifest, db = small_eval
+        runs = [
+            evaluate(FeatureDatabase(db.records, db.extraction_config), manifest, root, mode, k=3,
+                     exclude_self=exclude_self, jobs=jobs)
+            for jobs in (2, 1)
+        ]
+        assert runs[0] == runs[1]
 
 
 class TestEmitPrCsv:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,39 @@ class TestPersistence:
         loaded = load_index(tmp_path / "db.tsv")
         assert loaded.extraction_config == config
         assert loaded.records[0].hu.phi == rec.hu.phi
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_save_keeps_old_database(self, built, tmp_path, monkeypatch, stage):
+        _, _, db, _ = built
+        target = tmp_path / "db.tsv"
+        save_index(db, target)
+        before = target.read_bytes()
+
+        class FailingFile:
+            def __init__(self, path, mode):
+                self.file = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        if stage == "write":
+            monkeypatch.setattr("tir.index.open", FailingFile, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(FeatureDatabase(db.records[:1], db.extraction_config), target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.tsv"]
 
     def test_version_gate(self, tmp_path):
         (tmp_path / "db.tsv").write_text("TIRDB\t99\nCFG\n")

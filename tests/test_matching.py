@@ -41,6 +41,19 @@ class TestEuclideanDistance:
             want = reference.euclidean(a, b)
             assert abs(got - want) <= 1e-12 * max(1.0, want)
 
+    def test_squares_are_products(self):
+        # A log-scaled query/record pair from the benchmark: the C library's
+        # pow(d, 2) is one ulp above d * d for the sixth difference, and the
+        # ranking core squares by multiplication, so this function must too.
+        a = tuple(float.fromhex(h) for h in (
+            "-0x1.695bbac77fb5ap+1", "-0x1.95e8173afcdd2p+2", "-0x1.1f3e6f484c1f3p+3", "-0x1.2e1f0c3d06d0ap+3",
+            "0x1.2a66e4ffd8050p+4", "0x1.9399120bc7e28p+3", "0x1.8b66f7fac0f31p+4"))
+        b = tuple(float.fromhex(h) for h in (
+            "-0x1.7a7761bfeb81ep+1", "-0x1.9aba775d63fc8p+2", "-0x1.2ae8951b398bcp+3", "-0x1.4c5585478b9b8p+3",
+            "0x1.42b0a2e7a51ebp+4", "0x1.af6180324732dp+3", "0x1.6df8afb8b386ap+4"))
+        ranked = rank_by_moments(HuVector(a), [record(0, phi=b)], 1, log_scale=False)
+        assert euclidean_distance(a, b) == ranked[0].moment_distance == reference.euclidean(a, b)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             euclidean_distance((1.0,), (1.0, 2.0))

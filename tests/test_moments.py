@@ -9,6 +9,7 @@ from tir.imaging import GrayImage, rotate
 from tir.moments import (
     DegenerateImageError,
     HuVector,
+    _integer_raw_moments,
     central_moment,
     hu_moments,
     moment_table,
@@ -58,6 +59,18 @@ class TestRawMoment:
         img = GrayImage(np.ones((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             raw_moment(img, p, q)
+
+
+    @pytest.mark.parametrize("width", [19503, 19504, 20000])
+    def test_wide_rows_stay_exact(self, rng, width):
+        # 255 * sum_x x^3 first reaches 2^63 at width 19504, past which int64
+        # row partials would wrap: a white 1 x 20000 row once gave m30 < 0.
+        pix = np.stack([np.full(width, 255), rng.integers(0, 256, width)]).astype(np.uint8)
+        raw = _integer_raw_moments(pix)
+        for (p, q), value in raw.items():
+            assert value == reference.integer_raw_moment(pix, p, q), (p, q)
+        if width == 20000:
+            assert _integer_raw_moments(pix[:1])[(3, 0)] == 10198980025500000000
 
 
 class TestCentralMoment:
