@@ -15,10 +15,6 @@ import numpy as np
 from .edge import BinaryImage, EdgeConfig, prompt_edge
 from .imaging import GrayImage
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
-
-
 @dataclass(frozen=True)
 class CornerConfig:
     """Detector parameters.
@@ -64,21 +60,6 @@ class CornerSet:
         return len(self.points)
 
 
-def _correlate_replicate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Cross-correlate with replicate (edge) padding; kernel must be odd-sized."""
-    kh, kw = kernel.shape
-    ry, rx = kh // 2, kw // 2
-    padded = np.pad(values, ((ry, ry), (rx, rx)), mode="edge")
-    h, w = values.shape
-    out = np.zeros((h, w), dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            weight = kernel[dy, dx]
-            if weight != 0.0:
-                out += weight * padded[dy : dy + h, dx : dx + w]
-    return out
-
-
 def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     """Normalized 2-D Gaussian kernel of size (2*radius+1)^2."""
     d = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -87,23 +68,97 @@ def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     return np.outer(g, g)
 
 
+def _product_table(ix: np.ndarray, iy: np.ndarray, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ix^2, Iy^2 and IxIy stored once per pixel where `nonzero`, and a map to them.
+
+    Column 0 of the (3, k + 1) float64 table is zero; ``label`` gives each
+    pixel of the flattened planes its column, 0 where the gradient is zero.
+    """
+    grad = np.flatnonzero(nonzero)
+    gx = ix.ravel().take(grad).astype(np.int32)
+    gy = iy.ravel().take(grad).astype(np.int32)
+    table = np.zeros((3, len(grad) + 1), dtype=np.float64)
+    table[:, 1:] = (gx * gx, gy * gy, gx * gy)
+    label = np.zeros(ix.size, dtype=np.min_scalar_type(len(grad)))
+    label[grad] = np.arange(1, len(grad) + 1)
+    return table, label
+
+
+def _window_sums(
+    ix: np.ndarray, iy: np.ndarray, nonzero: np.ndarray, active: np.ndarray, window: np.ndarray
+) -> np.ndarray:
+    """Rows a, b, c: the `window`-weighted sums of Ix^2, Iy^2 and IxIy at each
+    `active` pixel in row-major order; `ix`, `iy` and `nonzero` are padded by
+    the window radius."""
+    table, label = _product_table(ix, iy, nonzero)
+    size = len(window)
+    w = active.shape[1]
+    padded_w = ix.shape[1]
+    corner = np.flatnonzero(active)
+    corner += (size - 1) * (corner // w)  # each window's top-left, flat in the padded frame
+    sums = np.zeros((3, len(corner)), dtype=np.float64)
+    terms = np.empty_like(sums)
+    for dy in range(size):
+        for dx in range(size):
+            weight = window[dy, dx]
+            if weight != 0.0:
+                # Every index is in range; "clip" only spares take a buffered copy of out.
+                table.take(label[dy * padded_w + dx :].take(corner), axis=1, out=terms, mode="clip")
+                terms *= weight
+                sums += terms
+    return sums
+
+
 def corner_metric(image: BinaryImage | GrayImage, config: CornerConfig = CornerConfig()) -> np.ndarray:
     """Per-pixel Harris response matrix with the same shape as the input.
 
     Binary inputs are treated as intensities {0, 255}. Gradients and the window
     accumulation both use replicate padding at the borders.
+
+    The result is bit for bit that of the dense float64 formulation (Sobel by
+    3x3 correlation, then one whole-image weighted sum per window offset), but
+    the window sums are formed only where they can be nonzero:
+
+    - Sobel runs in integers, which is exact: |Ix|, |Iy| <= 4 * 255 = 1020
+      (int16) and every product is at most 1020^2 = 1,040,400 (int32). These
+      are the integers the dense float Sobel produced, and float64 holds them
+      exactly.
+    - A pixel whose (2r+1)^2 window, in the replicate-padded frame, holds only
+      zero products sums weight * 0 from +0.0 to a = b = c = +0.0, so its
+      response is exactly +0.0, which the zeroed output already holds.
+    - At the other (active) pixels, a, b and c add weight * product one window
+      offset at a time, in row-major offset order, skipping zero weights,
+      starting from +0.0. These are the dense version's float operations in
+      its order, which is what keeps the bits.
     """
+    pixels = image.pixels.astype(np.int16)
     if isinstance(image, BinaryImage):
-        values = image.pixels.astype(np.float64) * 255.0
-    else:
-        values = image.pixels.astype(np.float64)
-    ix = _correlate_replicate(values, SOBEL_X)
-    iy = _correlate_replicate(values, SOBEL_Y)
-    window = gaussian_kernel(config.window_radius, config.window_sigma)
-    a = _correlate_replicate(ix * ix, window)
-    b = _correlate_replicate(iy * iy, window)
-    c = _correlate_replicate(ix * iy, window)
-    return (a * b - c * c) - config.kappa * (a + b) ** 2
+        pixels *= 255
+    h, w = pixels.shape
+    p = np.pad(pixels, 1, mode="edge")
+    diff = p[:, 2:] - p[:, :-2]
+    ix = diff[:-2] + 2 * diff[1:-1] + diff[2:]
+    smooth = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
+    iy = smooth[2:] - smooth[:-2]
+
+    r = config.window_radius
+    size = 2 * r + 1
+    ix = np.pad(ix, r, mode="edge")
+    iy = np.pad(iy, r, mode="edge")
+    nonzero = (ix != 0) | (iy != 0)
+    rows = np.zeros((h + 2 * r, w), dtype=bool)
+    for dx in range(size):
+        rows |= nonzero[:, dx : dx + w]
+    active = np.zeros((h, w), dtype=bool)
+    for dy in range(size):
+        active |= rows[dy : dy + h]
+
+    if not active.any():
+        return np.zeros((h, w), dtype=np.float64)
+    a, b, c = _window_sums(ix, iy, nonzero, active, gaussian_kernel(r, config.window_sigma))
+    out = np.zeros((h, w), dtype=np.float64)
+    out[active] = (a * b - c * c) - config.kappa * (a + b) ** 2
+    return out
 
 
 def corner_peaks(metric: np.ndarray, config: CornerConfig = CornerConfig()) -> CornerSet:

@@ -9,6 +9,7 @@ stored row-major as ``(height, width)`` (grayscale) or ``(height, width, 3)``
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,19 +102,38 @@ def _header_ints(data: bytes, start: int, count: int) -> tuple[list[int], int]:
     return tokens, i
 
 
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+
+
 def _ascii_samples(data: bytes, start: int, need: int) -> np.ndarray:
-    text = data[start:]
+    """The first `need` whitespace-separated decimal samples after `start`.
+
+    Parsed on the byte array, not token by token. A sample above 255 is
+    rejected however many digits it has, leading zeros allowed.
+    """
     # '#' comments are tolerated in the raster section as well.
-    lines = [line.split(b"#", 1)[0] for line in text.splitlines()]
-    fields = b" ".join(lines).split()
-    if len(fields) < need:
-        raise PnmError(f"truncated pixel data: expected {need} samples, found {len(fields)}")
-    values = np.empty(need, dtype=np.int64)
-    for idx, tok in enumerate(fields[:need]):
-        if not tok.isdigit():
-            raise PnmError(f"malformed pixel data: non-numeric sample {tok!r}")
-        values[idx] = int(tok)
-    if values.max(initial=0) > 255:
+    buf = np.frombuffer(re.sub(rb"#[^\r\n]*", b"", data[start:]), dtype=np.uint8)
+    in_token = ~_SPACE[buf]
+    bounds = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]  # each token is buf[start:end]
+    if len(starts) < need:
+        raise PnmError(f"truncated pixel data: expected {need} samples, found {len(starts)}")
+    starts, ends = starts[:need], ends[:need]
+    body = buf[: ends[-1]].astype(np.int16) - ord("0")
+    nondigit = in_token[: len(body)] & ((body < 0) | (body > 9))
+    if nondigit.any():
+        bad = np.searchsorted(starts, nondigit.argmax(), side="right") - 1
+        token = bytes(buf[starts[bad] : ends[bad]])
+        raise PnmError(f"malformed pixel data: non-numeric sample {token!r}")
+    # A sample is at most 255 only if no digit before its last three is
+    # nonzero and its last three digits make at most 255.
+    nonzero_before = np.concatenate(([0], np.cumsum(body != 0)))
+    head = np.maximum(ends - 3, starts)
+    values = body[ends - 1].copy()
+    for place, scale in ((2, 10), (3, 100)):
+        values += np.where(ends - starts >= place, scale * body[ends - place], 0)
+    if (nonzero_before[head] > nonzero_before[starts]).any() or values.max(initial=0) > 255:
         raise PnmError("malformed pixel data: sample exceeds maxval 255")
     return values
 

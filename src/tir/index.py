@@ -68,14 +68,15 @@ class FeatureRecord:
     hu: HuVector
 
     def __post_init__(self):
-        if self.record_id < 0:
-            raise ValueError(f"record_id must be >= 0, got {self.record_id}")
+        # Both integers become int64 columns, so they must fit in one.
+        if not 0 <= self.record_id < 2**63:
+            raise ValueError(f"record_id must lie in [0, 2**63), got {self.record_id}")
         _check_token(self.path, "record path")
         _check_token(self.class_label, "class label")
         if any(ch.isspace() for ch in self.class_label):
             raise ValueError(f"class label must be a single token: {self.class_label!r}")
-        if self.corner_count < 0:
-            raise ValueError(f"corner_count must be >= 0, got {self.corner_count}")
+        if not 0 <= self.corner_count < 2**63:
+            raise ValueError(f"corner_count must lie in [0, 2**63), got {self.corner_count}")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,44 @@ def harris_response(values, kappa: float, sigma: float, radius: int) -> np.ndarr
     return out
 
 
+def _correlate_replicate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Cross-correlate with replicate (edge) padding; kernel must be odd-sized."""
+    kh, kw = kernel.shape
+    ry, rx = kh // 2, kw // 2
+    padded = np.pad(values, ((ry, ry), (rx, rx)), mode="edge")
+    h, w = values.shape
+    out = np.zeros((h, w), dtype=np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            weight = kernel[dy, dx]
+            if weight != 0.0:
+                out += weight * padded[dy : dy + h, dx : dx + w]
+    return out
+
+
+def harris_response_dense(pixels, binary: bool, kappa: float, sigma: float, radius: int) -> np.ndarray:
+    """The dense float64 Harris response: whole-image correlation per kernel offset.
+
+    This is the formulation whose bits `tir.corners.corner_metric` must keep;
+    `binary` maps a boolean map to intensities {0, 255}.
+    """
+    sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    sobel_y = sobel_x.T
+    values = np.asarray(pixels).astype(np.float64)
+    if binary:
+        values = values * 255.0
+    ix = _correlate_replicate(values, sobel_x)
+    iy = _correlate_replicate(values, sobel_y)
+    d = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-(d * d) / (2.0 * sigma * sigma))
+    g /= g.sum()
+    window = np.outer(g, g)
+    a = _correlate_replicate(ix * ix, window)
+    b = _correlate_replicate(iy * iy, window)
+    c = _correlate_replicate(ix * iy, window)
+    return (a * b - c * c) - kappa * (a + b) ** 2
+
+
 def harris_peaks(response: np.ndarray, rel_threshold: float, nms_radius: int) -> list[tuple[int, int]]:
     h, w = response.shape
     global_max = response.max()
@@ -165,6 +203,25 @@ def harris_peaks(response: np.ndarray, rel_threshold: float, nms_radius: int) ->
             if keep:
                 points.append((x, y))
     return points
+
+
+# ---------------------------------------------------------------------------
+# PNM
+
+
+def pnm_ascii_samples(raster: bytes, need: int):
+    """The first `need` samples of an ASCII raster as Python ints, or the
+    expected error's keyword: 'truncated', 'non-numeric' or 'maxval'."""
+    text = b"".join(line.split(b"#", 1)[0] + b" " for line in raster.splitlines())
+    tokens = text.split()
+    if len(tokens) < need:
+        return "truncated"
+    values = []
+    for tok in tokens[:need]:
+        if not all(48 <= ch <= 57 for ch in tok):
+            return "non-numeric"
+        values.append(int(tok))
+    return "maxval" if max(values) > 255 else values
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,35 @@ class TestDataErrors:
         assert code == 2
         assert "version" in capsys.readouterr().err
 
+    def test_query_oversized_ascii_sample_exits_2(self, indexed, tmp_path, capsys):
+        root, work = indexed
+        image = tmp_path / "huge.pgm"
+        image.write_bytes(b"P2\n2 1\n255\n99999999999999999999999 0\n")
+        code = run(["query", "--db", str(work / "db.tsv"), "--image", str(image)])
+        assert code == 2
+        assert "maxval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_out_of_range_database_integer_exits_2(self, indexed, tmp_path, capsys, field, command):
+        root, work = indexed
+        lines = (work / "db.tsv").read_text().splitlines()
+        parts = lines[3].split("\t")
+        parts[field] = "100000000000000000000"
+        lines[3] = "\t".join(parts)
+        db = tmp_path / "db.tsv"
+        db.write_text("\n".join(lines) + "\n")
+        if command == "query":
+            argv = ["query", "--db", str(db), "--image", str(work / "rot" / "kite_rot0.pgm")]
+        else:
+            argv = ["eval", "--db", str(db), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
+                    "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
+        code = run(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "line 4" in captured.err and "2**63" in captured.err
+        assert captured.out == ""
+
 
 class TestGenRotations:
     def test_single_angle_writes_one_file_per_image(self, base_dataset, tmp_path, capsys):

@@ -1,11 +1,41 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
-from tir.corners import CornerConfig, CornerSet, corner_count, corner_metric, corner_peaks
+from tir.corners import CornerConfig, CornerSet, corner_count, corner_metric, corner_peaks, gaussian_kernel
 from tir.edge import BinaryImage, EdgeConfig, prompt_edge
-from tir.imaging import GrayImage
-from tir.shapes import square_scene, square_scene_corners
+from tir.imaging import GrayImage, rotate
+from tir.shapes import benchmark_shapes, square_scene, square_scene_corners
+
+# sha256 over the Harris responses of the 18 benchmark shapes' edge maps, at
+# 0 and 60 degrees, in benchmark order: the dense formulation's bits.
+BENCHMARK_RESPONSES_SHA256 = "f5e25dc68ec67ac0f19668a2a6e8cc0b15c38b38895a9395c657c8d2b0257987"
+
+_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+
+
+@st.composite
+def response_inputs(draw):
+    """A binary or gray image, sparse, dense, all-zero or all-on, and a config."""
+    shape = draw(_shapes)
+    kind = draw(st.sampled_from(["binary", "gray", "zero", "on"]))
+    if kind == "binary":
+        image = BinaryImage(draw(hnp.arrays(np.bool_, shape)))
+    elif kind == "gray":
+        image = GrayImage(draw(hnp.arrays(np.uint8, shape)))
+    else:
+        image = BinaryImage(np.full(shape, kind == "on"))
+    config = CornerConfig(
+        kappa=draw(st.floats(0.01, 0.24)),
+        window_sigma=draw(st.sampled_from([0.05, 0.3, 1.0, 1.5, 4.0])),
+        window_radius=draw(st.integers(1, 3)),
+    )
+    return image, config
 
 
 class TestCornerConfig:
@@ -42,6 +72,35 @@ class TestCornerMetric:
         ref = reference.harris_response(scene.pixels, cfg.kappa, cfg.window_sigma, cfg.window_radius)
         got = corner_metric(scene, cfg)
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    @given(response_inputs())
+    @settings(max_examples=300, deadline=None)
+    @example((BinaryImage(np.ones((1, 1), dtype=bool)), CornerConfig()))
+    @example((GrayImage(np.array([[0, 255, 0, 9]], dtype=np.uint8)), CornerConfig(window_radius=3)))
+    @example((BinaryImage(np.eye(5, 1, dtype=bool)), CornerConfig(window_radius=1)))
+    @example((  # edges on the top and right borders, weights that underflow to 0.0
+        BinaryImage(np.pad(np.ones((2, 3), dtype=bool), ((0, 4), (4, 0)))),
+        CornerConfig(window_sigma=0.05, window_radius=3),
+    ))
+    def test_bitwise_equal_to_dense_formulation(self, case):
+        image, cfg = case
+        ref = reference.harris_response_dense(
+            image.pixels, isinstance(image, BinaryImage), cfg.kappa, cfg.window_sigma, cfg.window_radius
+        )
+        assert corner_metric(image, cfg).tobytes() == ref.tobytes()
+
+    def test_small_sigma_underflows_window_weights(self):
+        # sigma 0.05 at r = 3 leaves only the centre 3x3 of the 7x7 window
+        # nonzero, so the oracle test above exercises the zero-weight skip.
+        window = gaussian_kernel(3, 0.05)
+        assert (window == 0.0).any() and window[3, 3] > 0.0
+
+    def test_benchmark_shape_responses_are_pinned(self):
+        digest = hashlib.sha256()
+        for _, image in benchmark_shapes():
+            for angle in (0.0, 60.0):
+                digest.update(corner_metric(prompt_edge(rotate(image, angle))).tobytes())
+        assert digest.hexdigest() == BENCHMARK_RESPONSES_SHA256
 
     def test_binary_input_maps_to_full_range(self, scene):
         edges = BinaryImage(scene.pixels > 0)

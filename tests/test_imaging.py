@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference
 from tir.imaging import GrayImage, PnmError, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 
 gray_pixels = hnp.arrays(
@@ -103,6 +104,50 @@ class TestLoadImage:
         f.write_bytes(b"P2\n1 1\n255\n300")
         with pytest.raises(PnmError, match="maxval"):
             load_image(f)
+
+    @pytest.mark.parametrize(
+        "sample", [b"256", b"0256", b"1000", b"9223372036854775808", b"99999999999999999999999"]
+    )
+    def test_any_ascii_sample_over_maxval_rejected(self, tmp_path, sample):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P2\n2 1\n255\n" + sample + b" 0\n")
+        with pytest.raises(PnmError, match="maxval"):
+            load_image(f)
+
+    def test_ascii_leading_zeros_and_comments(self, tmp_path):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P2\n3 1\n255\n0007 # seven\r000\t00000000000000000000255 junk after")
+        assert load_image(f).pixels.tolist() == [[7, 0, 255]]
+
+    def test_ascii_non_numeric_sample_named(self, tmp_path):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P2\n3 1\n255\n1 -2 3")
+        with pytest.raises(PnmError, match="non-numeric sample b'-2'"):
+            load_image(f)
+
+    @given(
+        tokens=st.lists(
+            st.one_of(
+                st.integers(0, 300).map(lambda v: str(v).encode()),
+                st.text("0123456789", min_size=1, max_size=25).map(str.encode),
+                st.sampled_from([b"x", b"-1", b"+1", b"1e2", b"\xff", b"#c\n", b"#", b"12#3\r"]),
+            ),
+            max_size=12,
+        ),
+        separators=st.lists(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"  "]), min_size=13, max_size=13),
+        need=st.integers(1, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ascii_raster_matches_token_parser(self, tmp_path_factory, tokens, separators, need):
+        raster = b"".join(sep + tok for sep, tok in zip(separators, tokens))
+        f = tmp_path_factory.mktemp("pnm") / "a.pgm"
+        f.write_bytes(b"P2\n" + f"{need} 1".encode() + b"\n255" + raster)
+        expected = reference.pnm_ascii_samples(raster, need)
+        if isinstance(expected, str):
+            with pytest.raises(PnmError, match=expected):
+                load_image(f)
+        else:
+            assert load_image(f).pixels.ravel().tolist() == expected
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -204,6 +204,24 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="line 3"):
             load_index(broken)
 
+    @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
+    def test_integers_must_fit_int64(self, built, tmp_path, field):
+        _, _, db, out = built
+        lines = out.read_text().splitlines()
+        parts = lines[2].split("\t")
+        parts[field] = str(2**63 - 1)
+        lines[2] = "\t".join(parts)
+        edge = tmp_path / "edge.tsv"
+        edge.write_text("\n".join(lines) + "\n")
+        columns = load_index(edge).columns
+        assert (columns.record_ids, columns.corner_counts)[field == 3].max() == 2**63 - 1
+        for value in (2**63, 10**20):
+            parts[field] = str(value)
+            lines[2] = "\t".join(parts)
+            edge.write_text("\n".join(lines) + "\n")
+            with pytest.raises(IndexFormatError, match=r"line 3: .*2\*\*63"):
+                load_index(edge)
+
     def test_duplicate_record_id_rejected(self, built, tmp_path):
         _, _, db, out = built
         lines = out.read_text().splitlines()
