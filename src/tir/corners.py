@@ -168,26 +168,43 @@ def corner_peaks(metric: np.ndarray, config: CornerConfig = CornerConfig()) -> C
     peak_rel_threshold * max(metric), and is the strict maximum of its
     Chebyshev nms_radius neighbourhood; exact ties are resolved in favour of
     the first pixel in row-major order.
+
+    Only the pixels that pass the first two tests are compared with their
+    neighbours. Each comparison is the one a whole-image pass would make
+    (``<`` against earlier neighbours, ``<=`` against later ones, -inf
+    outside the image), so the survivors are the same, and they come out in
+    row-major order. A neighbourhood offset of h or more rows, or w or more
+    columns, only ever reaches the -inf border, so the radius is clamped per
+    axis to h - 1 and w - 1: the cost is bounded by the image, not by
+    nms_radius.
     """
     m = np.asarray(metric, dtype=np.float64)
     global_max = float(m.max())
     if global_max <= 0.0:
         return CornerSet(())
-    keep = (m > 0.0) & (m >= config.peak_rel_threshold * global_max)
     h, w = m.shape
-    r = config.nms_radius
-    padded = np.pad(m, r, mode="constant", constant_values=-np.inf)
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
+    ry = min(config.nms_radius, h - 1)
+    rx = min(config.nms_radius, w - 1)
+    pw = w + 2 * rx
+    padded = np.full((h + 2 * ry, pw), -np.inf)
+    padded[ry : ry + h, rx : rx + w] = m
+    flat = padded.ravel()
+    cand = np.flatnonzero(padded > 0.0)
+    vals = flat.take(cand)
+    above = vals >= config.peak_rel_threshold * global_max
+    cand, vals = cand[above], vals[above]
+    keep = np.ones(len(cand), dtype=bool)
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             if dy == 0 and dx == 0:
                 continue
-            neighbour = padded[r + dy : r + dy + h, r + dx : r + dx + w]
+            neighbour = flat.take(cand + (dy * pw + dx))
             if dy < 0 or (dy == 0 and dx < 0):
-                keep &= neighbour < m  # earlier pixel wins ties
+                keep &= neighbour < vals  # earlier pixel wins ties
             else:
-                keep &= neighbour <= m
-    ys, xs = np.nonzero(keep)
-    return CornerSet(tuple((int(x), int(y)) for x, y in zip(xs, ys)))
+                keep &= neighbour <= vals
+    ys, xs = np.divmod(cand[keep], pw)
+    return CornerSet(tuple(zip((xs - rx).tolist(), (ys - ry).tolist())))
 
 
 def corner_count(image: GrayImage, edge_cfg: EdgeConfig = EdgeConfig(), corner_cfg: CornerConfig = CornerConfig()) -> int:

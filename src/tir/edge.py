@@ -52,18 +52,30 @@ class BinaryImage:
 
 
 def prompt_edge(image: GrayImage, config: EdgeConfig = EdgeConfig()) -> BinaryImage:
-    """Classify each pixel by its 8-neighbourhood difference count."""
-    pix = image.pixels.astype(np.int16)
+    """Classify each pixel by its 8-neighbourhood difference count.
+
+    Each pair of neighbouring pixels is compared once per direction
+    (right, down, down-right, down-left), and the outcome is added to the
+    count k of both of its pixels. |a - b| = |b - a|, so every pixel's k is
+    the number of its 8 neighbours that differ from it by more than T, as if
+    each pixel had compared its own neighbours. The difference is taken as
+    max(a, b) - min(a, b), which is exact in uint8.
+    """
+    pix = image.pixels
     h, w = pix.shape
     out = np.zeros((h, w), dtype=bool)
     if h >= 3 and w >= 3:
-        center = pix[1 : h - 1, 1 : w - 1]
-        k = np.zeros(center.shape, dtype=np.int16)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                neighbour = pix[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-                k += np.abs(center - neighbour) > config.threshold
-        out[1 : h - 1, 1 : w - 1] = (k == 4) | (k == 5)
+        k = np.zeros((h, w), dtype=np.uint8)
+        for near, far in (
+            (np.s_[:, :-1], np.s_[:, 1:]),
+            (np.s_[:-1, :], np.s_[1:, :]),
+            (np.s_[:-1, :-1], np.s_[1:, 1:]),
+            (np.s_[:-1, 1:], np.s_[1:, :-1]),
+        ):
+            a, b = pix[near], pix[far]
+            differs = np.maximum(a, b) - np.minimum(a, b) > config.threshold
+            k[near] += differs
+            k[far] += differs
+        inner = k[1 : h - 1, 1 : w - 1]
+        out[1 : h - 1, 1 : w - 1] = (inner == 4) | (inner == 5)
     return BinaryImage(out)

@@ -7,13 +7,16 @@ Feature database file format (text, UTF-8, LF endings):
     per record: <record_id><TAB><path><TAB><class_label><TAB><corner_count><TAB><phi1>...<TAB><phi7>
 
 Reals use scientific notation with 17 significant digits, which round-trips
-IEEE-754 doubles exactly. Manifest files carry one `<path><TAB><class_label>`
+IEEE-754 doubles exactly. Integers are written as 0 or [1-9][0-9]*, and
+load_index reads them in that form only; it reads reals in ASCII decimal or
+scientific notation only. Manifest files carry one `<path><TAB><class_label>`
 per line; lines starting with `#` are comments.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,10 +44,33 @@ def _fmt_real(value: float) -> str:
     return format(float(value), ".16e")
 
 
+_REAL_CHARS = re.compile(r"[0-9eE.+-]*")
+
+
+def _parse_count(token: str, what: str) -> int:
+    # ASCII digits with no leading zero: 0|[1-9][0-9]*
+    if not (token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")):
+        raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {token!r}")
+    return int(token)
+
+
+def _parse_reals(tokens: list[str], what: str) -> tuple[float, ...]:
+    """Reals in ASCII decimal or scientific notation.
+
+    float() alone also takes whitespace, underscores, non-ASCII digits, nan
+    and inf; with the characters limited to [0-9eE.+-] it takes only the
+    plain notation. One check over the joined tokens keeps load_index fast.
+    """
+    if not _REAL_CHARS.fullmatch("".join(tokens)):
+        bad = next(t for t in tokens if not _REAL_CHARS.fullmatch(t))
+        raise ValueError(f"{what} must be ASCII decimal or scientific notation, got {bad!r}")
+    return tuple(map(float, tokens))
+
+
 def _check_token(value: str, what: str) -> str:
     if not value:
         raise ValueError(f"{what} must be non-empty")
-    if any(ch in value for ch in "\t\n\r"):
+    if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{what} must not contain tabs or newlines: {value!r}")
     return value
 
@@ -73,7 +99,7 @@ class FeatureRecord:
             raise ValueError(f"record_id must lie in [0, 2**63), got {self.record_id}")
         _check_token(self.path, "record path")
         _check_token(self.class_label, "class label")
-        if any(ch.isspace() for ch in self.class_label):
+        if self.class_label.split() != [self.class_label]:  # split() cuts at every whitespace character
             raise ValueError(f"class label must be a single token: {self.class_label!r}")
         if not 0 <= self.corner_count < 2**63:
             raise ValueError(f"corner_count must lie in [0, 2**63), got {self.corner_count}")
@@ -232,14 +258,15 @@ def _parse_cfg_line(line: str, path) -> ExtractionConfig:
             raise IndexFormatError(f"{path}: line 2: expected {key}=..., got {part!r}")
         values[key] = part[len(prefix):]
     try:
+        kappa, sigma, peak = (_parse_reals([values[key]], key)[0] for key in ("kappa", "sigma", "peak"))
         return ExtractionConfig(
-            edge=EdgeConfig(threshold=int(values["edge_T"])),
+            edge=EdgeConfig(threshold=_parse_count(values["edge_T"], "edge_T")),
             corners=CornerConfig(
-                kappa=float(values["kappa"]),
-                window_sigma=float(values["sigma"]),
-                window_radius=int(values["win"]),
-                peak_rel_threshold=float(values["peak"]),
-                nms_radius=int(values["nms"]),
+                kappa=kappa,
+                window_sigma=sigma,
+                window_radius=_parse_count(values["win"], "win"),
+                peak_rel_threshold=peak,
+                nms_radius=_parse_count(values["nms"], "nms"),
             ),
         )
     except ValueError as exc:
@@ -269,9 +296,9 @@ def load_index(path) -> FeatureDatabase:
         if len(parts) != 11:
             raise IndexFormatError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
         try:
-            record_id = int(parts[0])
-            count = int(parts[3])
-            phi = tuple(float(v) for v in parts[4:11])
+            record_id = _parse_count(parts[0], "record_id")
+            count = _parse_count(parts[3], "corner_count")
+            phi = _parse_reals(parts[4:11], "Hu invariants")
             record = FeatureRecord(record_id, parts[1], parts[2], count, HuVector(phi))
         except ValueError as exc:
             raise IndexFormatError(f"{path}: line {lineno}: {exc}") from exc

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as straightforward per-pixel Python
 loops over plain arrays, separate from the production code paths, so the two
-routes only agree if both are right.
+routes only agree if both are right. The `*_dense` functions are the
+exception: they are the earlier whole-image numpy formulations, kept so that
+tests can require the faster production code to give the same bits.
 """
 
 from __future__ import annotations
@@ -87,6 +89,28 @@ def prompt_edge(pix, threshold: int) -> np.ndarray:
                     if abs(int(pix[y][x]) - int(pix[y + dy][x + dx])) > threshold:
                         k += 1
             out[y, x] = 3 < k < 6
+    return out
+
+
+def prompt_edge_dense(pixels, threshold: int) -> np.ndarray:
+    """The whole-image edge rule: each pixel compares itself with its 8
+    neighbours, so every pair is compared twice.
+
+    This is the formulation whose output `tir.edge.prompt_edge` must keep.
+    """
+    pix = np.asarray(pixels).astype(np.int16)
+    h, w = pix.shape
+    out = np.zeros((h, w), dtype=bool)
+    if h >= 3 and w >= 3:
+        center = pix[1 : h - 1, 1 : w - 1]
+        k = np.zeros(center.shape, dtype=np.int16)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == 0 and dx == 0:
+                    continue
+                neighbour = pix[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
+                k += np.abs(center - neighbour) > threshold
+        out[1 : h - 1, 1 : w - 1] = (k == 4) | (k == 5)
     return out
 
 
@@ -176,6 +200,33 @@ def harris_response_dense(pixels, binary: bool, kappa: float, sigma: float, radi
     b = _correlate_replicate(iy * iy, window)
     c = _correlate_replicate(ix * iy, window)
     return (a * b - c * c) - kappa * (a + b) ** 2
+
+
+def corner_peaks_dense(metric, rel_threshold: float, nms_radius: int) -> tuple[tuple[int, int], ...]:
+    """Whole-image NMS: one comparison per pixel and neighbourhood offset.
+
+    This is the formulation whose (x, y) points, in row-major order,
+    `tir.corners.corner_peaks` must keep.
+    """
+    m = np.asarray(metric, dtype=np.float64)
+    global_max = float(m.max())
+    if global_max <= 0.0:
+        return ()
+    keep = (m > 0.0) & (m >= rel_threshold * global_max)
+    h, w = m.shape
+    r = nms_radius
+    padded = np.pad(m, r, mode="constant", constant_values=-np.inf)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if dy == 0 and dx == 0:
+                continue
+            neighbour = padded[r + dy : r + dy + h, r + dx : r + dx + w]
+            if dy < 0 or (dy == 0 and dx < 0):
+                keep &= neighbour < m  # earlier pixel wins ties
+            else:
+                keep &= neighbour <= m
+    ys, xs = np.nonzero(keep)
+    return tuple((int(x), int(y)) for x, y in zip(xs, ys))
 
 
 def harris_peaks(response: np.ndarray, rel_threshold: float, nms_radius: int) -> list[tuple[int, int]]:

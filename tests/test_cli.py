@@ -36,6 +36,21 @@ def indexed(base_dataset, tmp_path_factory):
     return root, work
 
 
+def _argv_on_edited_db(indexed, tmp_path, field, token, command):
+    """`command` argv against a copy of the indexed DB whose second record has `token` in `field`."""
+    root, work = indexed
+    lines = (work / "db.tsv").read_text().splitlines()
+    parts = lines[3].split("\t")
+    parts[field] = token
+    lines[3] = "\t".join(parts)
+    db = tmp_path / "db.tsv"
+    db.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if command == "query":
+        return ["query", "--db", str(db), "--image", str(work / "rot" / "kite_rot0.pgm")]
+    return ["eval", "--db", str(db), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
+            "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -98,22 +113,19 @@ class TestDataErrors:
     @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
     @pytest.mark.parametrize("command", ["query", "eval"])
     def test_out_of_range_database_integer_exits_2(self, indexed, tmp_path, capsys, field, command):
-        root, work = indexed
-        lines = (work / "db.tsv").read_text().splitlines()
-        parts = lines[3].split("\t")
-        parts[field] = "100000000000000000000"
-        lines[3] = "\t".join(parts)
-        db = tmp_path / "db.tsv"
-        db.write_text("\n".join(lines) + "\n")
-        if command == "query":
-            argv = ["query", "--db", str(db), "--image", str(work / "rot" / "kite_rot0.pgm")]
-        else:
-            argv = ["eval", "--db", str(db), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
-                    "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
-        code = run(argv)
+        code = run(_argv_on_edited_db(indexed, tmp_path, field, "100000000000000000000", command))
         assert code == 2
         captured = capsys.readouterr()
         assert "line 4" in captured.err and "2**63" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("field, token", [(0, "1_0"), (3, "\u0663"), (3, "+5"), (6, "1_0.5")])
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_non_canonical_database_number_exits_2(self, indexed, tmp_path, capsys, field, token, command):
+        assert run(_argv_on_edited_db(indexed, tmp_path, field, token, command)) == 2
+        captured = capsys.readouterr()
+        assert "line 4" in captured.err and repr(token) in captured.err
         assert captured.out == ""
 
 

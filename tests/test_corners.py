@@ -16,6 +16,15 @@ from tir.shapes import benchmark_shapes, square_scene, square_scene_corners
 # 0 and 60 degrees, in benchmark order: the dense formulation's bits.
 BENCHMARK_RESPONSES_SHA256 = "f5e25dc68ec67ac0f19668a2a6e8cc0b15c38b38895a9395c657c8d2b0257987"
 
+# Corner counts of the 18 benchmark shapes at (0, 60) degrees, in benchmark order.
+BENCHMARK_COUNTS = {
+    128: [(25, 23), (31, 26), (26, 25), (29, 28), (33, 34), (23, 30), (38, 32), (29, 22), (20, 21),
+          (30, 30), (20, 20), (26, 30), (40, 37), (34, 36), (23, 29), (41, 39), (34, 30), (25, 25)],
+    512: [(112, 94), (140, 102), (118, 85), (119, 126), (141, 157), (87, 124), (171, 138), (117, 101),
+          (81, 98), (111, 133), (80, 78), (105, 113), (168, 164), (154, 163), (119, 118), (176, 163),
+          (154, 129), (109, 110)],
+}
+
 _shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
 
 
@@ -36,6 +45,17 @@ def response_inputs(draw):
         window_radius=draw(st.integers(1, 3)),
     )
     return image, config
+
+
+@st.composite
+def peak_inputs(draw):
+    """A tie-heavy response matrix of small integers and an NMS config."""
+    metric = draw(hnp.arrays(np.float64, _shapes, elements=st.integers(-2, 4).map(float)))
+    config = CornerConfig(
+        peak_rel_threshold=draw(st.sampled_from([0.01, 0.3, 0.5, 0.75, 1.0])),
+        nms_radius=draw(st.integers(1, 3)),
+    )
+    return metric, config
 
 
 class TestCornerConfig:
@@ -139,6 +159,25 @@ class TestCornerPeaks:
                 np.asarray(metric, dtype=float), cfg.peak_rel_threshold, cfg.nms_radius
             )
 
+    @given(peak_inputs())
+    @settings(max_examples=300, deadline=None)
+    @example((np.full((4, 5), 3.0), CornerConfig()))  # all equal
+    @example((np.full((4, 5), -1.0), CornerConfig()))  # all negative
+    @example((np.ones((1, 1)), CornerConfig(peak_rel_threshold=1.0)))
+    @example((np.array([[2.0, 2.0, 0.0, 2.0, 1.0, 2.0]]), CornerConfig(nms_radius=1)))  # 1 x N
+    @example((np.array([[1.0], [3.0], [3.0], [0.0], [3.0]]), CornerConfig(nms_radius=3)))  # N x 1
+    @example((np.array([[1.0, 4.0], [4.0, 2.0]]), CornerConfig(peak_rel_threshold=1.0, nms_radius=3)))
+    def test_equal_to_dense_nms(self, case):
+        metric, cfg = case
+        want = reference.corner_peaks_dense(metric, cfg.peak_rel_threshold, cfg.nms_radius)
+        assert corner_peaks(metric, cfg).points == want
+
+    def test_radius_is_clamped_to_the_image(self, rng):
+        metric = rng.integers(-1, 4, (5, 7)).astype(np.float64)
+        widest = corner_peaks(metric, CornerConfig(nms_radius=6))
+        assert widest.points == reference.corner_peaks_dense(metric, 0.01, 6)
+        assert corner_peaks(metric, CornerConfig(nms_radius=10**6)).points == widest.points
+
     def test_count_invariant_under_mirror_for_tie_free_input(self, rng):
         metric = rng.normal(size=(24, 24))
         base = corner_peaks(metric).count
@@ -176,6 +215,11 @@ class TestCornerCount:
             reference.harris_peaks(ref_resp, corner_cfg.peak_rel_threshold, corner_cfg.nms_radius)
         )
         assert corner_count(scene, edge_cfg, corner_cfg) == ref_count
+
+    @pytest.mark.parametrize("size", sorted(BENCHMARK_COUNTS))
+    def test_benchmark_shape_counts_are_pinned(self, size):
+        counts = [(corner_count(image), corner_count(rotate(image, 60.0))) for _, image in benchmark_shapes(size=size)]
+        assert counts == BENCHMARK_COUNTS[size]
 
     def test_runs_on_edge_map_not_grayscale(self, scene):
         # The raw scene has 4 corners; its edge map is a different image

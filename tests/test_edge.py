@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,6 +43,23 @@ class TestPromptEdge:
             pix = rng.integers(0, 256, (8, 8), dtype=np.int64)
             out = prompt_edge(GrayImage(pix), EdgeConfig(threshold=threshold))
             assert np.array_equal(out.pixels, reference.prompt_edge(pix, threshold))
+
+    @given(
+        pixels=st.one_of(
+            small_pixels,
+            # few intensities, so many differences land on either side of T
+            hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                       elements=st.sampled_from([0, 29, 30, 31, 60, 128, 255])),
+        ),
+        threshold=st.one_of(st.integers(0, 255), st.sampled_from([0, 29, 30, 31, 98, 127, 128, 225, 255])),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(pixels=np.array([[0, 255, 0], [255, 0, 255]], dtype=np.uint8), threshold=30)  # 2 rows
+    @example(pixels=np.full((5, 2), 200, dtype=np.uint8), threshold=0)  # 2 columns
+    @example(pixels=np.array([[0, 255, 0], [255, 0, 255], [0, 255, 0]], dtype=np.uint8), threshold=254)
+    def test_equal_to_dense_formulation(self, pixels, threshold):
+        out = prompt_edge(GrayImage(pixels), EdgeConfig(threshold=threshold))
+        assert out.pixels.tobytes() == reference.prompt_edge_dense(pixels, threshold).tobytes()
 
     def test_max_threshold_yields_all_false(self, rng):
         pix = rng.integers(0, 256, (10, 10), dtype=np.int64)

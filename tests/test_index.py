@@ -45,6 +45,17 @@ def built(shape_dataset, tmp_path_factory):
     return root, manifest, db, out
 
 
+def _with_record_field(db_file, tmp_path, field, token):
+    """A copy of `db_file` whose first record has `token` in `field`."""
+    lines = db_file.read_text().splitlines()
+    parts = lines[2].split("\t")
+    parts[field] = token
+    lines[2] = "\t".join(parts)
+    broken = tmp_path / "broken.tsv"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return broken
+
+
 class TestValidation:
     def test_duplicate_record_ids_rejected(self):
         rec = FeatureRecord(1, "a.pgm", "a", 0, HuVector((0.0,) * 7))
@@ -62,6 +73,16 @@ class TestValidation:
     def test_class_label_is_single_token(self):
         with pytest.raises(ValueError):
             FeatureRecord(0, "a.pgm", "two words", 0, HuVector((0.0,) * 7))
+
+    @pytest.mark.parametrize("label", ["a\u00a0b", "a\x1cb", " a", "a\r", "a\u3000"])
+    def test_class_label_rejects_any_whitespace(self, label):
+        with pytest.raises(ValueError, match="class label"):
+            FeatureRecord(0, "a.pgm", label, 0, HuVector((0.0,) * 7))
+
+    @pytest.mark.parametrize("path", ["a\nb.pgm", "a.pgm\r", ""])
+    def test_path_rejects_line_breaks_and_empty(self, path):
+        with pytest.raises(ValueError, match="record path"):
+            FeatureRecord(0, path, "a", 0, HuVector((0.0,) * 7))
 
     def test_negative_corner_count_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +242,49 @@ class TestPersistence:
             edge.write_text("\n".join(lines) + "\n")
             with pytest.raises(IndexFormatError, match=r"line 3: .*2\*\*63"):
                 load_index(edge)
+
+    @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
+    @pytest.mark.parametrize("token", ["1_0", "+5", " 7", "7 ", "\u0663", "07", "-1", ""])
+    def test_integers_must_be_plain_ascii_decimal(self, built, tmp_path, field, token):
+        broken = _with_record_field(built[3], tmp_path, field, token)
+        with pytest.raises(IndexFormatError, match=r"line 3: (record_id|corner_count) must be written as"):
+            load_index(broken)
+
+    @pytest.mark.parametrize("field", [4, 10])  # phi1, phi7
+    @pytest.mark.parametrize(
+        "token", ["1_0.5", "\u0661.\u0665", " 1.0", "1.0 ", "1.0\u00a0", "nan", "-inf", "1e5e5", "0x1p-3", ""]
+    )
+    def test_reals_must_be_plain_ascii_notation(self, built, tmp_path, field, token):
+        broken = _with_record_field(built[3], tmp_path, field, token)
+        with pytest.raises(IndexFormatError, match="line 3: "):
+            load_index(broken)
+
+    @pytest.mark.parametrize("key, token", [("edge_T", "+30"), ("nms", "0_2"), ("win", "\u0662"), ("kappa", " 0.04")])
+    def test_cfg_fields_must_be_plain_ascii(self, built, tmp_path, key, token):
+        _, _, _, out = built
+        lines = out.read_text().splitlines()
+        lines[1] = "\t".join(f"{key}={token}" if p.startswith(key + "=") else p for p in lines[1].split("\t"))
+        broken = tmp_path / "broken.tsv"
+        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="line 2: "):
+            load_index(broken)
+
+    def test_saved_database_resaves_byte_identically(self, tmp_path, rng):
+        hu = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-300, 300, (6, 7))
+        hu[0] = 0.0
+        hu[1, :3] = (5e-324, -0.0, 2.0**-1022)
+        records = [
+            FeatureRecord(record_id, f"img/{record_id}.pgm", f"class{record_id % 2}", count, HuVector(tuple(row)))
+            for record_id, count, row in zip((0, 7, 10, 2**63 - 1, 123456, 99), (0, 1, 2**63 - 1, 40, 5, 10), hu)
+        ]
+        db = FeatureDatabase(tuple(records), ExtractionConfig(EdgeConfig(0), CornerConfig(nms_radius=7)))
+        save_index(db, tmp_path / "a.tsv")
+        loaded = load_index(tmp_path / "a.tsv")
+        save_index(loaded, tmp_path / "b.tsv")
+        assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "a.tsv").read_bytes()
+        assert [(r.record_id, r.corner_count, r.hu.phi) for r in loaded.records] == [
+            (r.record_id, r.corner_count, r.hu.phi) for r in records
+        ]
 
     def test_duplicate_record_id_rejected(self, built, tmp_path):
         _, _, db, out = built
