@@ -136,10 +136,9 @@ def _cmd_query(args) -> int:
     image = load_image(args.image)
     matches = query(db, image, _threshold_config(args), k=args.top,
                     log_scale=not args.raw_moment_distance)
-    records = db.by_id()
     for rank, match in enumerate(matches, start=1):
-        record = records[match.record_id]
-        print(f"{rank}\t{record.path}\t{record.class_label}\t{match.corner_difference}\t{match.moment_distance:.6g}")
+        row = db.row(match.record_id)
+        print(f"{rank}\t{db.paths[row]}\t{db.labels[row]}\t{match.corner_difference}\t{match.moment_distance:.6g}")
     return 0
 
 

@@ -155,12 +155,13 @@ def evaluate(
     """
     root = Path(root)
     cfg = db.extraction_config
-    by_class: dict[str, set[int]] = {}
-    for record in db.records:
-        by_class.setdefault(record.class_label, set()).add(record.record_id)
-    by_path = {record.path: record.record_id for record in db.records}
-    paths = np.array([record.path for record in db.records], dtype=str)
     columns = db.columns  # built here, not by racing worker threads
+    ids = columns.record_ids.tolist()
+    by_class: dict[str, set[int]] = {}
+    for record_id, label in zip(ids, db.labels):
+        by_class.setdefault(label, set()).add(record_id)
+    by_path = dict(zip(db.paths, ids))
+    paths = np.array(db.paths, dtype=str)
 
     def one(entry: tuple[str, str]) -> QueryResult:
         rel_path, label = entry

@@ -11,6 +11,11 @@ IEEE-754 doubles exactly. Integers are written as 0 or [1-9][0-9]*, and
 load_index reads them in that form only; it reads reals in ASCII decimal or
 scientific notation only. Manifest files carry one `<path><TAB><class_label>`
 per line; lines starting with `#` are comments.
+
+load_index parses the record lines in fixed-size chunks straight into
+columns: the numeric `FeatureColumns` plus the path and label tuples. A
+loaded database builds its `FeatureRecord` objects only when something asks
+for `records`; querying, evaluating and saving read the columns.
 """
 
 from __future__ import annotations
@@ -19,12 +24,22 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .corners import CornerConfig, corner_count
 from .edge import EdgeConfig
 from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray
-from .matching import FeatureColumns, RankedMatch, ThresholdConfig, corner_filter, rank_by_moments
+from .matching import (
+    FeatureColumns,
+    RankedMatch,
+    ThresholdConfig,
+    corner_filter,
+    log_magnitude_array,
+    rank_by_moments,
+)
 from .moments import HuVector, hu_moments
 from .parallel import map_ordered
 
@@ -67,12 +82,26 @@ def _parse_reals(tokens: list[str], what: str) -> tuple[float, ...]:
     return tuple(map(float, tokens))
 
 
+def _parse_int64(token: str, what: str) -> int:
+    value = _parse_count(token, what)
+    if value >= 2**63:  # the columns are int64
+        raise ValueError(f"{what} must lie in [0, 2**63), got {value}")
+    return value
+
+
 def _check_token(value: str, what: str) -> str:
     if not value:
         raise ValueError(f"{what} must be non-empty")
     if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{what} must not contain tabs or newlines: {value!r}")
     return value
+
+
+def _check_label(label: str) -> str:
+    _check_token(label, "class label")
+    if label.split() != [label]:  # split() cuts at every whitespace character
+        raise ValueError(f"class label must be a single token: {label!r}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -98,38 +127,69 @@ class FeatureRecord:
         if not 0 <= self.record_id < 2**63:
             raise ValueError(f"record_id must lie in [0, 2**63), got {self.record_id}")
         _check_token(self.path, "record path")
-        _check_token(self.class_label, "class label")
-        if self.class_label.split() != [self.class_label]:  # split() cuts at every whitespace character
-            raise ValueError(f"class label must be a single token: {self.class_label!r}")
+        _check_label(self.class_label)
         if not 0 <= self.corner_count < 2**63:
             raise ValueError(f"corner_count must lie in [0, 2**63), got {self.corner_count}")
 
 
-@dataclass(frozen=True)
 class FeatureDatabase:
-    """Immutable set of feature records plus the config they were extracted under."""
+    """Immutable set of feature records plus the config they were extracted under.
 
-    records: tuple[FeatureRecord, ...]
-    extraction_config: ExtractionConfig
-    version: int = FORMAT_VERSION
+    The records come in two forms, each built from the other on first use:
+    `records`, one FeatureRecord per record, and the columns (`columns`,
+    `paths` and `labels`), one entry per record in record order. A database
+    made from records starts with the first form; `load_index` gives the
+    second, so a loaded database that only retrieves never builds records.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        ids = [r.record_id for r in self.records]
+    def __init__(self, records, extraction_config: ExtractionConfig, version: int = FORMAT_VERSION):
+        records = tuple(records)
+        ids = [r.record_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("record_ids must be unique within a database")
+        vars(self).update(records=records, extraction_config=extraction_config, version=version)
+
+    @classmethod
+    def _from_columns(cls, columns: FeatureColumns, paths: tuple[str, ...], labels: tuple[str, ...],
+                      extraction_config: ExtractionConfig) -> "FeatureDatabase":
+        """A database over columns that load_index has validated."""
+        db = cls.__new__(cls)
+        vars(db).update(columns=columns, paths=paths, labels=labels,
+                        extraction_config=extraction_config, version=FORMAT_VERSION)
+        return db
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FeatureDatabase is immutable; cannot set {name!r}")
+
+    @cached_property
+    def records(self) -> tuple[FeatureRecord, ...]:
+        cols = self.columns
+        return tuple(
+            FeatureRecord(record_id, path, label, count, HuVector(phi))
+            for record_id, path, label, count, phi in zip(
+                cols.record_ids.tolist(), self.paths, self.labels, cols.corner_counts.tolist(), cols.hu.tolist()
+            )
+        )
+
+    @cached_property
+    def columns(self) -> FeatureColumns:
+        """Numeric columns of the records, in record order."""
+        return FeatureColumns.from_records(self.records)
+
+    @cached_property
+    def paths(self) -> tuple[str, ...]:
+        return tuple(r.path for r in self.records)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(r.class_label for r in self.records)
 
     def by_id(self) -> dict[int, FeatureRecord]:
         return {r.record_id: r for r in self.records}
 
-    @cached_property
-    def columns(self) -> FeatureColumns:
-        """Columnar view of the records, in record order, built on first use.
-
-        Loading a database does not build it, so a caller that never
-        retrieves does not pay for it.
-        """
-        return FeatureColumns.from_records(self.records)
+    def row(self, record_id: int) -> int:
+        """Position of `record_id` in record order."""
+        return int(np.flatnonzero(self.columns.record_ids == record_id)[0])
 
 
 @dataclass(frozen=True)
@@ -191,6 +251,11 @@ def build_index(
     degenerate image aborts the build, naming the offending path.
     """
     root = Path(root)
+    for rel_path, label in manifest.entries:  # before any extraction, which is the slow part
+        try:
+            _check_label(label)
+        except ValueError as exc:
+            raise IndexBuildError(f"manifest entry {rel_path!r}: {exc}") from exc
 
     def one(indexed_entry: tuple[int, tuple[str, str]]) -> FeatureRecord:
         idx, (rel_path, label) = indexed_entry
@@ -223,10 +288,11 @@ def save_index(db: FeatureDatabase, path) -> None:
             cfg.corners.nms_radius,
         ),
     ]
-    for r in db.records:
-        fields = [str(r.record_id), r.path, r.class_label, str(r.corner_count)]
-        fields += [_fmt_real(v) for v in r.hu]
-        lines.append("\t".join(fields))
+    cols = db.columns
+    for record_id, record_path, label, count, phi in zip(
+        cols.record_ids.tolist(), db.paths, db.labels, cols.corner_counts.tolist(), cols.hu.tolist()
+    ):
+        lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
     _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -273,10 +339,104 @@ def _parse_cfg_line(line: str, path) -> ExtractionConfig:
         raise IndexFormatError(f"{path}: line 2: {exc}") from exc
 
 
+# Record lines parsed per chunk: enough that the per-chunk checks cost little
+# per line, few enough that one chunk's token lists stay small beside the
+# columns (parsing the whole file at once peaked about twice as high).
+_CHUNK_LINES = 1024
+
+_COUNTS = re.compile(r"(?:0|[1-9][0-9]*)(?:\n(?:0|[1-9][0-9]*))*")
+
+
+class _BadRow(Exception):
+    """A check on a chunk of record lines failed, first at `row` of the chunk."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _first_bad(tokens, check) -> _BadRow:
+    """The first of `tokens` that `check` rejects, once a whole-chunk check has failed."""
+    for row, token in enumerate(tokens):
+        try:
+            check(token)
+        except ValueError as exc:
+            return _BadRow(row, str(exc))
+    raise AssertionError("a chunk check failed on no single token")
+
+
+def _chunk_int64s(tokens: list[str], what: str) -> list[int]:
+    if _COUNTS.fullmatch("\n".join(tokens)):
+        values = list(map(int, tokens))
+        if max(values) < 2**63:
+            return values
+    raise _first_bad(tokens, lambda token: _parse_int64(token, what))
+
+
+def _chunk_reals(tokens: list[str]) -> list[float]:
+    if _REAL_CHARS.fullmatch("".join(tokens)):
+        try:
+            return list(map(float, tokens))
+        except ValueError:  # e.g. "1e" or "1e5e5"; found again below
+            pass
+    raise _first_bad(tokens, lambda token: _parse_reals([token], "Hu invariants"))
+
+
+def _chunk_columns(lines: list[str], seen_ids: set[int]):
+    """Record ids, corner counts, Hu rows, paths and labels of one chunk of record lines.
+
+    Each check runs once over the whole chunk and, when it fails, raises
+    `_BadRow` for the first line it rejects. Ids are added to `seen_ids`
+    only when the whole chunk is good.
+    """
+    tabs = list(map(str.count, lines, repeat("\t")))
+    if tabs.count(10) != len(lines):
+        row = next(row for row, n in enumerate(tabs) if n != 10)
+        raise _BadRow(row, f"expected 11 fields, got {tabs[row] + 1}")
+    fields = "\t".join(lines).split("\t")
+    ids = _chunk_int64s(fields[0::11], "record_id")
+    counts = _chunk_int64s(fields[3::11], "corner_count")
+    hu = np.empty((len(lines), 7))
+    for j in range(7):
+        hu[:, j] = _chunk_reals(fields[4 + j::11])
+    finite = np.isfinite(hu).all(axis=1)
+    if not finite.all():
+        raise _BadRow(int(np.argmin(finite)), "invariants must be finite")
+    paths, labels = fields[1::11], fields[2::11]
+    if "" in paths or "\r" in "".join(paths):
+        raise _first_bad(paths, lambda p: _check_token(p, "record path"))
+    if " ".join(labels).split() != labels:  # equal only if every label is one whitespace-free token
+        raise _first_bad(labels, _check_label)
+    if len(set(ids)) != len(ids) or not seen_ids.isdisjoint(ids):
+        earlier = set(seen_ids)
+
+        def unseen(record_id: int) -> None:
+            if record_id in earlier:
+                raise ValueError(f"duplicate record_id {record_id}")
+            earlier.add(record_id)
+
+        raise _first_bad(ids, unseen)
+    seen_ids.update(ids)
+    return ids, counts, hu, paths, labels
+
+
+def _parse_chunk(lines: list[str], seen_ids: set[int]):
+    """`_chunk_columns`, except that `_BadRow` names the first bad line of the chunk."""
+    try:
+        return _chunk_columns(lines, seen_ids)
+    except _BadRow as bad:
+        if bad.row:
+            _parse_chunk(lines[:bad.row], seen_ids)  # an earlier line may fail a later check
+        raise
+
+
 def load_index(path) -> FeatureDatabase:
-    """Load a feature database, verifying the version tag and every record line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
+    """Load a feature database, verifying the version tag and every record line.
+
+    An error names the first bad line. The records go straight into columns;
+    see the module docstring.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or not lines[0].startswith(FORMAT_TAG):
@@ -289,24 +449,25 @@ def load_index(path) -> FeatureDatabase:
     if len(lines) < 2:
         raise IndexFormatError(f"{path}: missing CFG line")
     config = _parse_cfg_line(lines[1], path)
-    records = []
-    seen_ids = set()
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split("\t")
-        if len(parts) != 11:
-            raise IndexFormatError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
+    n = len(lines) - 2
+    record_ids, corner_counts = np.empty(n, np.int64), np.empty(n, np.int64)
+    hu, log_hu = np.empty((n, 7)), np.empty((n, 7))
+    paths: list[str] = []
+    labels: list[str] = []
+    seen_ids: set[int] = set()
+    for start in range(0, n, _CHUNK_LINES):
+        chunk = lines[2 + start:2 + start + _CHUNK_LINES]
         try:
-            record_id = _parse_count(parts[0], "record_id")
-            count = _parse_count(parts[3], "corner_count")
-            phi = _parse_reals(parts[4:11], "Hu invariants")
-            record = FeatureRecord(record_id, parts[1], parts[2], count, HuVector(phi))
-        except ValueError as exc:
-            raise IndexFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if record_id in seen_ids:
-            raise IndexFormatError(f"{path}: line {lineno}: duplicate record_id {record_id}")
-        seen_ids.add(record_id)
-        records.append(record)
-    return FeatureDatabase(tuple(records), config)
+            ids, counts, chunk_hu, chunk_paths, chunk_labels = _parse_chunk(chunk, seen_ids)
+        except _BadRow as bad:
+            raise IndexFormatError(f"{path}: line {start + 3 + bad.row}: {bad}") from None
+        rows = slice(start, start + len(chunk))
+        record_ids[rows], corner_counts[rows], hu[rows] = ids, counts, chunk_hu
+        log_hu[rows] = log_magnitude_array(chunk_hu)
+        paths += chunk_paths
+        labels += chunk_labels
+    columns = FeatureColumns(record_ids, corner_counts, hu, log_hu)
+    return FeatureDatabase._from_columns(columns, tuple(paths), tuple(labels), config)
 
 
 def query(
@@ -324,7 +485,7 @@ def query(
     corner window prefilters candidates, which are then ranked by moment
     distance. An empty candidate set yields an empty result.
     """
-    if not db.records:
+    if not len(db.columns):
         raise ValueError("cannot query an empty database")
     if isinstance(image, RgbImage):
         image = rgb_to_gray(image)

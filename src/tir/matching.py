@@ -131,12 +131,24 @@ def log_magnitude(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(math.copysign(1.0, v) * math.log10(abs(v) + LOG_EPSILON) if v != 0.0 else 0.0 for v in values)
 
 
+def log_magnitude_array(values: np.ndarray) -> np.ndarray:
+    """`log_magnitude` of every element of a float64 array, with the same bits.
+
+    The log runs per element through `math.log10`, since `np.log10` differs
+    from it in the last bit for some inputs; the absolute value, the epsilon
+    sum and the sign are exact in numpy as in Python.
+    """
+    shifted = (np.abs(values) + LOG_EPSILON).ravel().tolist()
+    logs = np.fromiter(map(math.log10, shifted), np.float64, len(shifted)).reshape(values.shape)
+    return np.where(values != 0.0, np.copysign(1.0, values) * logs, 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
     """Columnar view of feature records: row i of every column is one record.
 
-    `hu` holds the raw invariants and `log_hu` their `log_magnitude`; both
-    are (n, 7) float64, the other two columns int64 of length n.
+    `hu` holds the raw invariants and `log_hu` their `log_magnitude_array`;
+    both are (n, 7) float64, the other two columns int64 of length n.
     """
 
     record_ids: np.ndarray
@@ -147,13 +159,12 @@ class FeatureColumns:
     @classmethod
     def from_records(cls, records: Iterable["FeatureRecord"]) -> "FeatureColumns":
         records = list(records)
+        hu = np.array([r.hu.phi for r in records], dtype=np.float64).reshape(-1, 7)
         return cls(
             record_ids=np.array([r.record_id for r in records], dtype=np.int64),
             corner_counts=np.array([r.corner_count for r in records], dtype=np.int64),
-            hu=np.array([r.hu.phi for r in records], dtype=np.float64).reshape(-1, 7),
-            # log_magnitude, not np.log10: the two differ in the last bit for
-            # some inputs, and distances must not depend on which path ran.
-            log_hu=np.array([log_magnitude(r.hu) for r in records], dtype=np.float64).reshape(-1, 7),
+            hu=hu,
+            log_hu=log_magnitude_array(hu),
         )
 
     def __len__(self) -> int:

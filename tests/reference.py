@@ -4,14 +4,27 @@ Everything here is deliberately written as straightforward per-pixel Python
 loops over plain arrays, separate from the production code paths, so the two
 routes only agree if both are right. The `*_dense` functions are the
 exception: they are the earlier whole-image numpy formulations, kept so that
-tests can require the faster production code to give the same bits.
+tests can require the faster production code to give the same bits; so is
+`load_index_per_line`, the earlier loader that validated one record per line.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
+
+from tir.index import (
+    FORMAT_TAG,
+    FORMAT_VERSION,
+    FeatureDatabase,
+    FeatureRecord,
+    IndexFormatError,
+    _parse_cfg_line,
+)
+from tir.moments import HuVector
 
 # ---------------------------------------------------------------------------
 # Moments
@@ -325,3 +338,60 @@ def rank(query_hu, records, k: int, query_count=None, log_scale: bool = True) ->
 def corner_rank(query_count: int, records, k: int) -> list[int]:
     """Ids of the k records nearest in corner count, ties on record_id."""
     return [r.record_id for r in sorted(records, key=lambda r: (abs(r.corner_count - query_count), r.record_id))[:k]]
+
+
+# ---------------------------------------------------------------------------
+# Feature database, one line and one FeatureRecord at a time.
+
+
+_REAL_CHARS = re.compile(r"[0-9eE.+-]*")
+
+
+def _parse_count(token: str, what: str) -> int:
+    # ASCII digits with no leading zero: 0|[1-9][0-9]*
+    if not (token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")):
+        raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {token!r}")
+    return int(token)
+
+
+def _parse_reals(tokens: list[str], what: str) -> tuple[float, ...]:
+    if not _REAL_CHARS.fullmatch("".join(tokens)):
+        bad = next(t for t in tokens if not _REAL_CHARS.fullmatch(t))
+        raise ValueError(f"{what} must be ASCII decimal or scientific notation, got {bad!r}")
+    return tuple(map(float, tokens))
+
+
+def load_index_per_line(path) -> FeatureDatabase:
+    """Load a feature database, verifying the version tag and every record line."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or not lines[0].startswith(FORMAT_TAG):
+        raise IndexFormatError(f"{path}: not a feature database (bad tag line)")
+    if lines[0] != f"{FORMAT_TAG}\t{FORMAT_VERSION}":
+        raise IndexFormatError(
+            f"{path}: unsupported database version {lines[0][len(FORMAT_TAG):].strip()!r}"
+            f" (expected {FORMAT_VERSION})"
+        )
+    if len(lines) < 2:
+        raise IndexFormatError(f"{path}: missing CFG line")
+    config = _parse_cfg_line(lines[1], path)
+    records = []
+    seen_ids = set()
+    for lineno, line in enumerate(lines[2:], start=3):
+        parts = line.split("\t")
+        if len(parts) != 11:
+            raise IndexFormatError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
+        try:
+            record_id = _parse_count(parts[0], "record_id")
+            count = _parse_count(parts[3], "corner_count")
+            phi = _parse_reals(parts[4:11], "Hu invariants")
+            record = FeatureRecord(record_id, parts[1], parts[2], count, HuVector(phi))
+        except ValueError as exc:
+            raise IndexFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if record_id in seen_ids:
+            raise IndexFormatError(f"{path}: line {lineno}: duplicate record_id {record_id}")
+        seen_ids.add(record_id)
+        records.append(record)
+    return FeatureDatabase(tuple(records), config)

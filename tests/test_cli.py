@@ -95,6 +95,18 @@ class TestDataErrors:
         assert code == 2
         assert "ghost.pgm" in capsys.readouterr().err
 
+    def test_index_multi_token_label_exits_2_before_extraction(self, base_dataset, tmp_path, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr("tir.index.load_image", lambda path: loaded.append(path))
+        save_pgm(benchmark_shapes()[0][1], tmp_path / "a.pgm")
+        (tmp_path / "m.tsv").write_text(f"{base_dataset / 'tri_wide.pgm'}\ttri_wide\na.pgm\tfoo bar\n")
+        code = run(["index", "--manifest", str(tmp_path / "m.tsv"), "--root", str(tmp_path),
+                    "--out", str(tmp_path / "db.tsv"), "--jobs", "1"])
+        assert code == 2
+        assert "manifest entry 'a.pgm': class label must be a single token: 'foo bar'" in capsys.readouterr().err
+        assert loaded == []
+        assert not (tmp_path / "db.tsv").exists()
+
     def test_query_bad_database_version_exits_2(self, tmp_path, base_dataset, capsys):
         (tmp_path / "db.tsv").write_text("TIRDB\t9\n")
         code = run(["query", "--db", str(tmp_path / "db.tsv"),

@@ -12,7 +12,7 @@ from tir.evaluation import (
     recall,
 )
 from tir.imaging import load_image, save_pgm
-from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index
+from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
 
@@ -204,6 +204,15 @@ class TestEvaluate:
             for jobs in (2, 1)
         ]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_loaded_database_builds_no_records(self, small_eval, records_made, mode, exclude_self):
+        root, manifest, db = small_eval
+        report = evaluate(load_index(root.parent / "db.tsv"), manifest, root, mode, k=3,
+                          exclude_self=exclude_self, jobs=2)
+        assert records_made == []
+        assert report == evaluate(db, manifest, root, mode, k=3, exclude_self=exclude_self)
 
 
 class TestEmitPrCsv:

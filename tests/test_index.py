@@ -1,11 +1,18 @@
 import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from tir import index
+from tir.cli import run
 from tir.corners import CornerConfig
 from tir.edge import EdgeConfig
-from tir.imaging import GrayImage, RgbImage, save_pgm
+from tir.imaging import GrayImage, RgbImage, load_image, save_pgm
 from tir.index import (
     ExtractionConfig,
     FeatureDatabase,
@@ -21,7 +28,7 @@ from tir.index import (
     save_index,
     write_manifest,
 )
-from tir.matching import ThresholdConfig
+from tir.matching import FeatureColumns, ThresholdConfig
 from tir.moments import DegenerateImageError, HuVector, hu_moments
 from tir.shapes import benchmark_shapes, square_scene
 
@@ -136,6 +143,14 @@ class TestBuildIndex:
         manifest = Manifest((("missing.pgm", "x"),))
         with pytest.raises(IndexBuildError, match="missing.pgm"):
             build_index(manifest, root, ExtractionConfig(), out=tmp_path / "db.tsv")
+
+    @pytest.mark.parametrize("label", ["foo bar", "a\u00a0b"])
+    def test_multi_token_label_names_entry(self, shape_dataset, tmp_path, label):
+        root, manifest = shape_dataset
+        bad = Manifest(manifest.entries + (("a.pgm", label),))
+        with pytest.raises(IndexBuildError, match="manifest entry 'a.pgm': class label must be a single token"):
+            build_index(bad, root, ExtractionConfig(), out=tmp_path / "db.tsv")
+        assert not (tmp_path / "db.tsv").exists()
 
     def test_degenerate_image_names_entry(self, tmp_path):
         save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "blank.pgm")
@@ -296,6 +311,128 @@ class TestPersistence:
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(IndexFormatError, match="duplicate record_id"):
             load_index(broken)
+
+
+int64s = st.one_of(st.integers(0, 50), st.sampled_from([2**63 - 1, 10**18]), st.integers(0, 2**63 - 1))
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308]),
+)
+# Surrogates cannot be written as UTF-8; tabs and line breaks cannot be in a field.
+field_chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+
+
+@st.composite
+def record_lists(draw, min_size=0):
+    ids = draw(st.lists(int64s, min_size=min_size, max_size=9, unique=True))
+    return tuple(
+        FeatureRecord(
+            record_id,
+            draw(st.text(field_chars, min_size=1, max_size=6)),
+            draw(st.text(field_chars, min_size=1, max_size=6).filter(lambda label: label.split() == [label])),
+            draw(int64s),
+            HuVector(draw(st.tuples(*[reals] * 7))),
+        )
+        for record_id in ids
+    )
+
+
+def _columns_bytes(columns):
+    arrays = (columns.record_ids, columns.corner_counts, columns.hu, columns.log_hu)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _error_line(load, db_file):
+    with pytest.raises(IndexFormatError) as exc:
+        load(db_file)
+    return int(re.search(r": line (\d+): ", str(exc.value)).group(1))
+
+
+# One edit to one field of a record line: (field, new token or edit of the old token).
+MUTATIONS = [
+    *[(field, token) for field in (0, 3) for token in ("1_0", "+5", " 7", "07", "\u0663", str(2**63))],
+    *[(field, token) for field in (4, 10) for token in ("nan", "1e999", "1e")],
+    (1, ""),
+    (1, lambda path: path[:1] + "\r" + path[1:]),
+    (2, lambda label: label[:1] + "\u00a0" + label[1:]),
+    ("fields", 10),
+    ("fields", 12),
+    ("duplicate", None),
+]
+
+
+@pytest.fixture(scope="module")
+def db_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader")
+
+
+class TestLoaderAgainstPerLineOracle:
+    """load_index against the earlier one-record-per-line loader in tests/reference.py.
+
+    Small chunk sizes put chunk boundaries inside these small databases.
+    """
+
+    @given(record_lists(), st.sampled_from([1, 2, 3, 1024]))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_database_loads_as_the_oracle(self, db_dir, records, chunk):
+        db_file = db_dir / "valid.tsv"
+        save_index(FeatureDatabase(records, ExtractionConfig()), db_file)
+        oracle = reference.load_index_per_line(db_file)
+        with mock.patch.object(index, "_CHUNK_LINES", chunk):
+            loaded = load_index(db_file)
+        assert _columns_bytes(loaded.columns) == _columns_bytes(FeatureColumns.from_records(oracle.records))
+        assert loaded.records == oracle.records
+        assert loaded.extraction_config == oracle.extraction_config
+        save_index(loaded, db_dir / "resaved.tsv")
+        assert (db_dir / "resaved.tsv").read_bytes() == db_file.read_bytes()
+
+    @given(record_lists(min_size=2), st.lists(st.tuples(st.integers(0), st.sampled_from(MUTATIONS)), min_size=1,
+                                               max_size=3), st.sampled_from([1, 2, 3, 1024]))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_database_fails_on_the_oracle_line(self, db_dir, records, mutations, chunk):
+        db_file = db_dir / "mutated.tsv"
+        save_index(FeatureDatabase(records, ExtractionConfig()), db_file)
+        lines = db_file.read_text(encoding="utf-8").split("\n")
+        for pick, (field, edit) in mutations:
+            row = 2 + pick % len(records)
+            parts = lines[row].split("\t")
+            if field == "fields":
+                parts = (parts + ["0"])[:edit]
+            elif field == "duplicate":
+                parts[0] = lines[2 + (pick + 1) % len(records)].split("\t")[0]
+            else:
+                parts[field] = edit(parts[field]) if callable(edit) else edit
+            lines[row] = "\t".join(parts)
+        db_file.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            oracle = reference.load_index_per_line(db_file)
+        except IndexFormatError:
+            with mock.patch.object(index, "_CHUNK_LINES", chunk):
+                assert _error_line(load_index, db_file) == _error_line(reference.load_index_per_line, db_file)
+            return
+        assert len(mutations) > 1, "one edit always makes the database malformed"
+        loaded = load_index(db_file)  # edits that undo each other
+        assert loaded.records == oracle.records
+
+
+class TestLoadedDatabaseBuildsNoRecords:
+    """Query, the CLI query and saving read a loaded database's columns only."""
+
+    def test_query_and_cli_query(self, built, records_made, capsys):
+        root, manifest, _, out = built
+        loaded = load_index(out)
+        image = load_image(root / manifest.entries[1][0])
+        assert query(loaded, image, k=3)[0].record_id == 1
+        assert query(loaded, image, k=3, log_scale=False)
+        assert run(["query", "--db", str(out), "--image", str(root / manifest.entries[1][0])]) == 0
+        assert capsys.readouterr().out.split("\t")[:3] == ["1", *manifest.entries[1]]
+        assert records_made == []
+
+    def test_save_of_loaded_database_is_byte_identical(self, built, records_made, tmp_path):
+        _, _, _, out = built
+        save_index(load_index(out), tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == out.read_bytes()
+        assert records_made == []
 
 
 class TestQuery:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from tir.matching import (
     corner_filter,
     euclidean_distance,
     log_magnitude,
+    log_magnitude_array,
     rank_by_moments,
 )
 from tir.moments import HuVector
@@ -198,6 +200,22 @@ class TestLogMagnitude:
     def test_sign_carries_through(self):
         pos, neg = log_magnitude((1e-3, -1e-3))
         assert pos == -neg < 0
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-30, -1e-30, 1e308, -1e308, 1.0, -1.0]),
+        ),
+        max_size=21,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_array_form_has_the_bits_of_log_magnitude(self, values):
+        want = np.array(log_magnitude(values), dtype=np.float64)
+        got = log_magnitude_array(np.array(values, dtype=np.float64))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        rows = np.array(values + [0.0] * (-len(values) % 7), dtype=np.float64).reshape(-1, 7)
+        got = log_magnitude_array(rows)
+        assert got.shape == rows.shape and got.tobytes() == bytes(np.array(log_magnitude(rows.ravel().tolist())))
 
 
 class TestRankedMatch:
