@@ -47,10 +47,8 @@ from .matching import (
 from .moments import (
     DegenerateImageError,
     HuVector,
-    MomentTable,
     central_moment,
     hu_moments,
-    moment_table,
     normalized_central_moment,
     raw_moment,
 )

@@ -9,6 +9,7 @@ to stderr. Exit codes: 0 success, 1 usage error, 2 data or processing error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,8 +52,8 @@ def _positive_int(text: str) -> int:
 
 def _angle_list(text: str) -> list[float]:
     angles = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not angles:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of angles in degrees")
+    if not angles or not all(map(math.isfinite, angles)):
+        raise argparse.ArgumentTypeError("expected a comma-separated list of finite angles in degrees")
     return angles
 
 
@@ -106,16 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threshold_config(args) -> ThresholdConfig:
-    return ThresholdConfig(
-        band_width=args.band_width,
-        base_threshold=args.base_threshold,
-        multiplier=args.multiplier,
-    )
-
-
-def _cmd_index(args) -> int:
-    config = ExtractionConfig(
+def _extraction_config(args) -> ExtractionConfig:
+    return ExtractionConfig(
         edge=EdgeConfig(threshold=args.edge_threshold),
         corners=CornerConfig(
             kappa=args.harris_kappa,
@@ -125,8 +118,19 @@ def _cmd_index(args) -> int:
             nms_radius=args.nms_radius,
         ),
     )
+
+
+def _threshold_config(args) -> ThresholdConfig:
+    return ThresholdConfig(
+        band_width=args.band_width,
+        base_threshold=args.base_threshold,
+        multiplier=args.multiplier,
+    )
+
+
+def _cmd_index(args) -> int:
     manifest = read_manifest(args.manifest)
-    db = build_index(manifest, args.root, config, out=args.out, jobs=args.jobs)
+    db = build_index(manifest, args.root, args.config, out=args.out, jobs=args.jobs)
     print(f"indexed {len(db.records)} records -> {args.out}", file=sys.stderr)
     return 0
 
@@ -134,7 +138,7 @@ def _cmd_index(args) -> int:
 def _cmd_query(args) -> int:
     db = load_index(args.db)
     image = load_image(args.image)
-    matches = query(db, image, _threshold_config(args), k=args.top,
+    matches = query(db, image, args.config, k=args.top,
                     log_scale=not args.raw_moment_distance)
     for rank, match in enumerate(matches, start=1):
         row = db.row(match.record_id)
@@ -150,7 +154,7 @@ def _cmd_eval(args) -> int:
         manifest,
         args.root,
         _MODES[args.mode],
-        _threshold_config(args),
+        args.config,
         k=args.top,
         exclude_self=args.exclude_self,
         jobs=args.jobs,
@@ -179,10 +183,17 @@ _COMMANDS = {
     "gen-rotations": _cmd_gen_rotations,
 }
 
+# The settings object each command builds from its options.
+_CONFIGS = {"index": _extraction_config, "query": _threshold_config, "eval": _threshold_config}
+
 
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:  # an option value the settings reject is a usage error
+        args.config = _CONFIGS[args.command](args) if args.command in _CONFIGS else None
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
     try:
         return _COMMANDS[args.command](args)
     except (

@@ -1,6 +1,6 @@
 """Offline feature indexing, feature-database persistence and the online query path.
 
-Feature database file format (text, UTF-8, LF endings):
+Feature database file format (text, UTF-8, LF line endings only):
 
     line 1:     TIRDB<TAB>1
     line 2:     CFG<TAB>edge_T=<int><TAB>kappa=<real><TAB>sigma=<real><TAB>win=<int><TAB>peak=<real><TAB>nms=<int>
@@ -433,14 +433,17 @@ def _parse_chunk(lines: list[str], seen_ids: set[int]):
 def load_index(path) -> FeatureDatabase:
     """Load a feature database, verifying the version tag and every record line.
 
-    An error names the first bad line. The records go straight into columns;
-    see the module docstring.
+    An error names the first bad line. Lines end at LF only, so a CR (as in
+    CRLF endings) is part of a line and fails that line's checks. The
+    records go straight into columns; see the module docstring.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or not lines[0].startswith(FORMAT_TAG):
         raise IndexFormatError(f"{path}: not a feature database (bad tag line)")
+    if "\r" in lines[0]:
+        raise IndexFormatError(f"{path}: line 1: carriage return in the tag line (the database has LF line endings)")
     if lines[0] != f"{FORMAT_TAG}\t{FORMAT_VERSION}":
         raise IndexFormatError(
             f"{path}: unsupported database version {lines[0][len(FORMAT_TAG):].strip()!r}"

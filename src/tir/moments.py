@@ -7,8 +7,12 @@ Definitions (x = column index, y = row index, f = intensity):
              xbar = m10 / m00, ybar = m01 / m00
     eta_pq = mu_pq / m00^gamma,  gamma = (p + q) / 2 + 1
 
-Raw moments are accumulated in exact integer arithmetic and central moments
-are derived from exact integer numerators, so Hu vectors are bitwise
+One exact path serves every public function. `_integer_raw_moments` forms
+all sixteen raw moments (p, q <= 3) from one (h, w) @ (w, 4) integer matmul
+against the column powers x^0..x^3, then one Python-integer (4, h) @ (h, 4)
+contraction against the row powers y^0..y^3. `_mu_eta` holds the m00 check
+and turns exact integer central numerators into mu and eta; `hu_moments`
+asks it for the seven eta it uses. Hu vectors are therefore bitwise
 identical under integer translation with zero padding.
 
 The seven invariants follow Hu's 1962 definitions; only those forms carry
@@ -55,22 +59,6 @@ class HuVector:
         return np.array(self.phi, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """All moments of one image up to order 3 in each index.
-
-    `m` and `mu` map (p, q) with p, q in {0..3} to raw and central moments;
-    `eta` covers the pairs with p + q >= 2. mu[(1, 0)] and mu[(0, 1)] are
-    exactly zero by construction.
-    """
-
-    m: dict[tuple[int, int], float]
-    mu: dict[tuple[int, int], float]
-    eta: dict[tuple[int, int], float]
-    xbar: float
-    ybar: float
-
-
 def _integer_raw_moments(pix: np.ndarray) -> dict[tuple[int, int], int]:
     """Exact raw moments m_pq for p, q in {0..MAX_ORDER} as Python integers."""
     h, w = pix.shape
@@ -79,57 +67,32 @@ def _integer_raw_moments(pix: np.ndarray) -> dict[tuple[int, int], int]:
     # The row partials sum_x x^p f(x, y) are at most 255 * sum_x x^3 =
     # 255 * (w (w - 1) / 2)^2, which reaches 2^63 from w = 19504 on; there
     # int64 would wrap silently, so wider rows take exact Python integers.
-    # The y accumulation always runs in Python integers.
     if 255 * (w * (w - 1) // 2) ** 2 >= 2**63:
         f, xs = f.astype(object), xs.astype(object)
-    moments: dict[tuple[int, int], int] = {}
-    for p in range(MAX_ORDER + 1):
-        row = [int(v) for v in f @ (xs**p)]
-        for q in range(MAX_ORDER + 1):
-            moments[(p, q)] = sum(v * y**q for y, v in enumerate(row))
-    return moments
+    powers = np.arange(MAX_ORDER + 1)
+    rows = f @ xs[:, None] ** powers  # rows[y, p] = sum_x x^p f(x, y)
+    # The y contraction always runs in Python integers (object dtype).
+    table = rows.T.astype(object) @ np.arange(h, dtype=object)[:, None] ** powers
+    return {(p, q): table[p, q] for p in range(MAX_ORDER + 1) for q in range(MAX_ORDER + 1)}
 
 
-def _central_numerator(m: dict[tuple[int, int], int], p: int, q: int) -> int:
-    """Exact integer N_pq with mu_pq = N_pq / m00^(p+q).
+def _mu_eta(m: dict[tuple[int, int], int], p: int, q: int) -> tuple[float, float]:
+    """mu_pq and eta_pq from the exact raw moments `m`. Raises for an all-zero image.
 
-    N_pq = sum_pixels (x*m00 - m10)^p (y*m00 - m01)^q f, expanded binomially
-    over the integer raw moments. Invariant under integer translation.
+    mu_pq = N_pq / m00^(p+q) is an exact int/int true division, with
+    N_pq = sum_pixels (x*m00 - m10)^p (y*m00 - m01)^q f expanded binomially
+    over the integer raw moments; it is invariant under integer translation.
     """
     m00, m10, m01 = m[(0, 0)], m[(1, 0)], m[(0, 1)]
-    total = 0
-    for i in range(p + 1):
-        for j in range(q + 1):
-            total += (
-                math.comb(p, i)
-                * math.comb(q, j)
-                * m00 ** (i + j)
-                * (-m10) ** (p - i)
-                * (-m01) ** (q - j)
-                * m[(i, j)]
-            )
-    return total
-
-
-def moment_table(image: GrayImage) -> MomentTable:
-    """Compute every raw, central and normalized central moment up to order 3."""
-    raw = _integer_raw_moments(image.pixels)
-    m00 = raw[(0, 0)]
     if m00 <= 0:
         raise DegenerateImageError("all-zero image: moments are undefined (m00 = 0)")
-    mu = {pq: _central_numerator(raw, *pq) / m00 ** sum(pq) for pq in raw}
-    eta = {
-        (p, q): mu[(p, q)] / float(m00) ** ((p + q) / 2.0 + 1.0)
-        for (p, q) in raw
-        if p + q >= 2
-    }
-    return MomentTable(
-        m={pq: float(v) for pq, v in raw.items()},
-        mu=mu,
-        eta=eta,
-        xbar=raw[(1, 0)] / m00,
-        ybar=raw[(0, 1)] / m00,
+    numerator = sum(
+        math.comb(p, i) * math.comb(q, j) * m00 ** (i + j) * (-m10) ** (p - i) * (-m01) ** (q - j) * m[(i, j)]
+        for i in range(p + 1)
+        for j in range(q + 1)
     )
+    mu = numerator / m00 ** (p + q)
+    return mu, mu / float(m00) ** ((p + q) / 2.0 + 1.0)
 
 
 def raw_moment(image: GrayImage, p: int, q: int) -> float:
@@ -141,10 +104,7 @@ def raw_moment(image: GrayImage, p: int, q: int) -> float:
 def central_moment(image: GrayImage, p: int, q: int) -> float:
     """mu_pq about the intensity centroid. Raises for all-zero images."""
     _check_order(p, q)
-    raw = _integer_raw_moments(image.pixels)
-    if raw[(0, 0)] <= 0:
-        raise DegenerateImageError("all-zero image: moments are undefined (m00 = 0)")
-    return _central_numerator(raw, p, q) / raw[(0, 0)] ** (p + q)
+    return _mu_eta(_integer_raw_moments(image.pixels), p, q)[0]
 
 
 def normalized_central_moment(image: GrayImage, p: int, q: int) -> float:
@@ -152,19 +112,15 @@ def normalized_central_moment(image: GrayImage, p: int, q: int) -> float:
     _check_order(p, q)
     if p + q < 2:
         raise ValueError(f"normalized central moments need p + q >= 2, got ({p}, {q})")
-    raw = _integer_raw_moments(image.pixels)
-    m00 = raw[(0, 0)]
-    if m00 <= 0:
-        raise DegenerateImageError("all-zero image: moments are undefined (m00 = 0)")
-    mu = _central_numerator(raw, p, q) / m00 ** (p + q)
-    return mu / float(m00) ** ((p + q) / 2.0 + 1.0)
+    return _mu_eta(_integer_raw_moments(image.pixels), p, q)[1]
 
 
 def hu_moments(image: GrayImage) -> HuVector:
     """The seven Hu invariants of the grayscale image."""
-    eta = moment_table(image).eta
-    e20, e02, e11 = eta[(2, 0)], eta[(0, 2)], eta[(1, 1)]
-    e30, e03, e21, e12 = eta[(3, 0)], eta[(0, 3)], eta[(2, 1)], eta[(1, 2)]
+    m = _integer_raw_moments(image.pixels)
+    e20, e02, e11, e30, e03, e21, e12 = (
+        _mu_eta(m, p, q)[1] for p, q in ((2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1), (1, 2))
+    )
     a = e30 + e12
     b = e21 + e03
     phi1 = e20 + e02

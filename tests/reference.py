@@ -4,14 +4,17 @@ Everything here is deliberately written as straightforward per-pixel Python
 loops over plain arrays, separate from the production code paths, so the two
 routes only agree if both are right. The `*_dense` functions are the
 exception: they are the earlier whole-image numpy formulations, kept so that
-tests can require the faster production code to give the same bits; so is
-`load_index_per_line`, the earlier loader that validated one record per line.
+tests can require the faster production code to give the same bits; so are
+`moment_table` and `hu_moments_from_table`, the earlier exact moment path,
+and `load_index_per_line`, the earlier loader that validated one record per
+line.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,8 @@ from tir.index import (
     IndexFormatError,
     _parse_cfg_line,
 )
-from tir.moments import HuVector
+from tir.imaging import GrayImage
+from tir.moments import MAX_ORDER, DegenerateImageError, HuVector
 
 # ---------------------------------------------------------------------------
 # Moments
@@ -82,6 +86,105 @@ def hu(pix) -> tuple[float, ...]:
         (3 * n[(2, 1)] - n[(0, 3)]) * s * (s**2 - 3 * t**2)
         - (n[(3, 0)] - 3 * n[(1, 2)]) * t * (3 * s**2 - t**2),
     )
+
+
+# The earlier exact moment path: four int64 row-partial matmuls, a Python
+# y accumulation and every moment up to order 3 in a table. The production
+# code must give the same bits.
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """All moments of one image up to order 3 in each index.
+
+    `m` and `mu` map (p, q) with p, q in {0..3} to raw and central moments;
+    `eta` covers the pairs with p + q >= 2. mu[(1, 0)] and mu[(0, 1)] are
+    exactly zero by construction.
+    """
+
+    m: dict[tuple[int, int], float]
+    mu: dict[tuple[int, int], float]
+    eta: dict[tuple[int, int], float]
+    xbar: float
+    ybar: float
+
+
+def integer_raw_moments_by_rows(pix: np.ndarray) -> dict[tuple[int, int], int]:
+    """Exact raw moments m_pq for p, q in {0..MAX_ORDER} as Python integers."""
+    h, w = pix.shape
+    f = pix.astype(np.int64)
+    xs = np.arange(w, dtype=np.int64)
+    # The row partials sum_x x^p f(x, y) are at most 255 * sum_x x^3 =
+    # 255 * (w (w - 1) / 2)^2, which reaches 2^63 from w = 19504 on; there
+    # int64 would wrap silently, so wider rows take exact Python integers.
+    # The y accumulation always runs in Python integers.
+    if 255 * (w * (w - 1) // 2) ** 2 >= 2**63:
+        f, xs = f.astype(object), xs.astype(object)
+    moments: dict[tuple[int, int], int] = {}
+    for p in range(MAX_ORDER + 1):
+        row = [int(v) for v in f @ (xs**p)]
+        for q in range(MAX_ORDER + 1):
+            moments[(p, q)] = sum(v * y**q for y, v in enumerate(row))
+    return moments
+
+
+def _central_numerator(m: dict[tuple[int, int], int], p: int, q: int) -> int:
+    """Exact integer N_pq with mu_pq = N_pq / m00^(p+q).
+
+    N_pq = sum_pixels (x*m00 - m10)^p (y*m00 - m01)^q f, expanded binomially
+    over the integer raw moments. Invariant under integer translation.
+    """
+    m00, m10, m01 = m[(0, 0)], m[(1, 0)], m[(0, 1)]
+    total = 0
+    for i in range(p + 1):
+        for j in range(q + 1):
+            total += (
+                math.comb(p, i)
+                * math.comb(q, j)
+                * m00 ** (i + j)
+                * (-m10) ** (p - i)
+                * (-m01) ** (q - j)
+                * m[(i, j)]
+            )
+    return total
+
+
+def moment_table(image: GrayImage) -> MomentTable:
+    """Compute every raw, central and normalized central moment up to order 3."""
+    raw = integer_raw_moments_by_rows(image.pixels)
+    m00 = raw[(0, 0)]
+    if m00 <= 0:
+        raise DegenerateImageError("all-zero image: moments are undefined (m00 = 0)")
+    mu = {pq: _central_numerator(raw, *pq) / m00 ** sum(pq) for pq in raw}
+    eta = {
+        (p, q): mu[(p, q)] / float(m00) ** ((p + q) / 2.0 + 1.0)
+        for (p, q) in raw
+        if p + q >= 2
+    }
+    return MomentTable(
+        m={pq: float(v) for pq, v in raw.items()},
+        mu=mu,
+        eta=eta,
+        xbar=raw[(1, 0)] / m00,
+        ybar=raw[(0, 1)] / m00,
+    )
+
+
+def hu_moments_from_table(image: GrayImage) -> HuVector:
+    """The seven Hu invariants of the grayscale image."""
+    eta = moment_table(image).eta
+    e20, e02, e11 = eta[(2, 0)], eta[(0, 2)], eta[(1, 1)]
+    e30, e03, e21, e12 = eta[(3, 0)], eta[(0, 3)], eta[(2, 1)], eta[(1, 2)]
+    a = e30 + e12
+    b = e21 + e03
+    phi1 = e20 + e02
+    phi2 = (e20 - e02) ** 2 + 4.0 * e11**2
+    phi3 = (e30 - 3.0 * e12) ** 2 + (3.0 * e21 - e03) ** 2
+    phi4 = a * a + b * b
+    phi5 = (e30 - 3.0 * e12) * a * (a * a - 3.0 * b * b) + (3.0 * e21 - e03) * b * (3.0 * a * a - b * b)
+    phi6 = (e20 - e02) * (a * a - b * b) + 4.0 * e11 * a * b
+    phi7 = (3.0 * e21 - e03) * a * (a * a - 3.0 * b * b) - (e30 - 3.0 * e12) * b * (3.0 * a * a - b * b)
+    return HuVector((phi1, phi2, phi3, phi4, phi5, phi6, phi7))
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,45 @@ class TestUsageErrors:
                  "--out-dir", "d", "--out-manifest", "o"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("angles", ["nan", "0,inf"])
+    def test_non_finite_angle_exits_1(self, capsys, angles):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-rotations", "--manifest", "m", "--root", "r", "--angles", angles,
+                 "--out-dir", "d", "--out-manifest", "o"])
+        assert exc.value.code == 1
+        assert "finite angles" in capsys.readouterr().err
+
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 1
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["index", "--harris-kappa", "0.5"], "kappa must lie in"),
+            (["index", "--edge-threshold", "300"], "threshold must be an integer in [0, 255]"),
+            (["index", "--nms-radius", "0"], "nms_radius must be an integer >= 1"),
+            (["query", "--band-width", "0"], "band_width must be an integer >= 1"),
+            (["query", "--base-threshold", "nan"], "base_threshold must be positive"),
+            (["eval", "--multiplier", "1"], "multiplier must exceed 1"),
+        ],
+    )
+    def test_invalid_option_value_exits_1(self, tmp_path, capsys, argv, message):
+        # The settings are checked before any file is read, so none need exist.
+        files = {
+            "index": ["--manifest", "m.tsv", "--root", ".", "--out", str(tmp_path / "db.tsv")],
+            "query": ["--db", "db.tsv", "--image", "q.pgm"],
+            "eval": ["--db", "db.tsv", "--manifest", "m.tsv", "--root", ".", "--mode", "hybrid",
+                     "--out", str(tmp_path / "pr.csv")],
+        }[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + files)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"error: {argv[0]}: " in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDataErrors:
@@ -131,6 +166,16 @@ class TestDataErrors:
         assert "line 4" in captured.err and "2**63" in captured.err
         assert captured.out == ""
 
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_crlf_database_exits_2(self, indexed, tmp_path, capsys, command):
+        argv = _argv_on_edited_db(indexed, tmp_path, 0, "1", command)
+        # Overwrite the edited copy with the indexed DB in CRLF line endings.
+        (tmp_path / "db.tsv").write_bytes((indexed[1] / "db.tsv").read_bytes().replace(b"\n", b"\r\n"))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "line 1: carriage return" in captured.err and "version" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("field, token", [(0, "1_0"), (3, "\u0663"), (3, "+5"), (6, "1_0.5")])
     @pytest.mark.parametrize("command", ["query", "eval"])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -284,6 +284,26 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="line 2: "):
             load_index(broken)
 
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (None, lambda line: line + b"\r", r"line 1: carriage return in the tag line"),
+            (0, lambda line: line + b"\r", r"line 1: carriage return in the tag line"),
+            (1, lambda line: line + b"\r", r"line 2: nms must be written as .*\\r"),
+            (3, lambda line: line.replace(b".pgm\t", b".p\rgm\t"), r"line 4: record path must not contain"),
+            (4, lambda line: line + b"\r", r"line 5: Hu invariants .*\\r"),
+        ],
+        ids=["crlf", "cr-tag", "cr-cfg", "cr-in-path", "cr-last-record"],
+    )
+    def test_carriage_returns_fail_on_their_line(self, built, tmp_path, line, edit, message):
+        _, _, _, out = built
+        lines = out.read_bytes().split(b"\n")[:-1]
+        lines = [edit(text) if line in (None, row) else text for row, text in enumerate(lines)]
+        broken = tmp_path / "cr.tsv"
+        broken.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(broken)
+
     def test_saved_database_resaves_byte_identically(self, tmp_path, rng):
         hu = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-300, 300, (6, 7))
         hu[0] = 0.0
@@ -388,6 +408,11 @@ class TestLoaderAgainstPerLineOracle:
 
     @given(record_lists(min_size=2), st.lists(st.tuples(st.integers(0), st.sampled_from(MUTATIONS)), min_size=1,
                                                max_size=3), st.sampled_from([1, 2, 3, 1024]))
+    @example(
+        records=tuple(FeatureRecord(i, f"{i}.pgm", "a", 1, HuVector((1.0,) * 7)) for i in range(2)),
+        mutations=[(0, ("fields", 10)), (0, (10, "nan"))],
+        chunk=1,
+    )
     @settings(max_examples=300, deadline=None)
     def test_malformed_database_fails_on_the_oracle_line(self, db_dir, records, mutations, chunk):
         db_file = db_dir / "mutated.tsv"
@@ -400,7 +425,7 @@ class TestLoaderAgainstPerLineOracle:
                 parts = (parts + ["0"])[:edit]
             elif field == "duplicate":
                 parts[0] = lines[2 + (pick + 1) % len(records)].split("\t")[0]
-            else:
+            elif field < len(parts):  # an earlier ("fields", n) edit may have cut the field off
                 parts[field] = edit(parts[field]) if callable(edit) else edit
             lines[row] = "\t".join(parts)
         db_file.write_text("\n".join(lines), encoding="utf-8")

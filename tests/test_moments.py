@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,16 +14,51 @@ from tir.moments import (
     _integer_raw_moments,
     central_moment,
     hu_moments,
-    moment_table,
     normalized_central_moment,
     raw_moment,
 )
-from tir.shapes import filled_disc, filled_triangle, solid_square
+from tir.shapes import benchmark_shapes, filled_disc, filled_triangle, solid_square
 
 nonzero_pixels = hnp.arrays(
     np.uint8,
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=12),
 ).filter(lambda a: a.any())
+
+
+# Images for the comparisons with the earlier moment path: any uint8 image
+# with sides 1 to 40, all-zero ones included.
+small_pixels = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40))
+
+
+def wide_rows(rows: int, width: int) -> np.ndarray:
+    """A white first row and, for two rows, a second of every gray level in turn.
+
+    Widths from 19504 on take the Python-integer row partials.
+    """
+    pix = np.full((rows, width), 255, dtype=np.uint8)
+    pix[1:] = np.arange(width) % 256
+    return pix
+
+
+WIDE_EXAMPLES = [wide_rows(rows, width) for rows in (1, 2) for width in (19503, 19504, 20000)]
+
+# sha256 over the Hu vectors (float64 bytes) of the 18 benchmark shapes at 0
+# and 60 degrees, in benchmark order: the earlier moment path's bits.
+BENCHMARK_HU_SHA256 = {
+    128: "e327a984b21cda1a8ba1a9e4d373dcd315d1be51583bae20c18112514bd106df",
+    512: "f7d1d7a0ccae6514dbd9f9b2725365c60752497a051886fc6dcae5001384a341",
+}
+
+
+def with_examples(*pixel_arrays):
+    """Add each array as a hypothesis @example for the `pixels` argument."""
+
+    def decorate(test):
+        for pixels in pixel_arrays:
+            test = example(pixels=pixels)(test)
+        return test
+
+    return decorate
 
 
 def shifted(pixels: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -154,16 +191,45 @@ class TestNormalizedCentralMoment:
             assert abs(got - want) <= 1e-12 * max(1.0, scale)
 
 
-class TestMomentTable:
-    def test_structure_and_invariants(self, rng):
-        pix = rng.integers(0, 256, (6, 11), dtype=np.int64)
-        pix[2, 3] = max(pix[2, 3], 1)
-        table = moment_table(GrayImage(pix))
-        assert table.m[(0, 0)] > 0
-        assert table.mu[(1, 0)] == 0.0 and table.mu[(0, 1)] == 0.0
-        assert set(table.m) == {(p, q) for p in range(4) for q in range(4)}
-        assert all(p + q >= 2 for p, q in table.eta)
-        assert table.xbar == table.m[(1, 0)] / table.m[(0, 0)]
+class TestAgainstTablePath:
+    """The one exact path against the earlier table path in tests/reference.py, bit for bit."""
+
+    @given(pixels=small_pixels)
+    @with_examples(*WIDE_EXAMPLES)
+    @settings(max_examples=150, deadline=None)
+    def test_hu_bits_equal(self, pixels):
+        image = GrayImage(pixels)
+        if not pixels.any():
+            with pytest.raises(DegenerateImageError):
+                hu_moments(image)
+            return
+        assert hu_moments(image).phi == reference.hu_moments_from_table(image).phi
+
+    @given(pixels=small_pixels)
+    @with_examples(*WIDE_EXAMPLES)
+    @settings(max_examples=60, deadline=None)
+    def test_every_moment_equals_the_table(self, pixels):
+        image = GrayImage(pixels)
+        orders = [(p, q) for p in range(4) for q in range(4)]
+        if not pixels.any():
+            assert all(raw_moment(image, p, q) == 0.0 for p, q in orders)
+            with pytest.raises(DegenerateImageError):
+                central_moment(image, 2, 0)
+            return
+        table = reference.moment_table(image)
+        for p, q in orders:
+            assert raw_moment(image, p, q) == table.m[(p, q)], (p, q)
+            assert central_moment(image, p, q) == table.mu[(p, q)], (p, q)
+            if p + q >= 2:
+                assert normalized_central_moment(image, p, q) == table.eta[(p, q)], (p, q)
+
+    @pytest.mark.parametrize("size", [128, 512])
+    def test_benchmark_shape_hu_vectors_are_pinned(self, size):
+        digest = hashlib.sha256()
+        for _, image in benchmark_shapes(size=size):
+            for angle in (0.0, 60.0):
+                digest.update(hu_moments(rotate(image, angle)).as_array().tobytes())
+        assert digest.hexdigest() == BENCHMARK_HU_SHA256[size]
 
 
 class TestHuMoments:
