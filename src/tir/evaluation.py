@@ -155,7 +155,7 @@ def evaluate(
     """
     root = Path(root)
     cfg = db.extraction_config
-    columns = db.columns  # built here, not by racing worker threads
+    columns = db.columns
     ids = columns.record_ids.tolist()
     by_class: dict[str, set[int]] = {}
     for record_id, label in zip(ids, db.labels):

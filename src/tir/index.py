@@ -16,6 +16,11 @@ load_index parses the record lines in fixed-size chunks straight into
 columns: the numeric `FeatureColumns` plus the path and label tuples. A
 loaded database builds its `FeatureRecord` objects only when something asks
 for `records`; querying, evaluating and saving read the columns.
+
+Each record-line rule is written once, as a check over a whole chunk. When a
+chunk fails, load_index runs the same checks on its lines one at a time and
+names the first line that fails. A file that is not valid UTF-8 fails naming
+the line of its first bad byte, in a database and in a manifest alike.
 """
 
 from __future__ import annotations
@@ -57,36 +62,6 @@ class IndexBuildError(RuntimeError):
 
 def _fmt_real(value: float) -> str:
     return format(float(value), ".16e")
-
-
-_REAL_CHARS = re.compile(r"[0-9eE.+-]*")
-
-
-def _parse_count(token: str, what: str) -> int:
-    # ASCII digits with no leading zero: 0|[1-9][0-9]*
-    if not (token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")):
-        raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {token!r}")
-    return int(token)
-
-
-def _parse_reals(tokens: list[str], what: str) -> tuple[float, ...]:
-    """Reals in ASCII decimal or scientific notation.
-
-    float() alone also takes whitespace, underscores, non-ASCII digits, nan
-    and inf; with the characters limited to [0-9eE.+-] it takes only the
-    plain notation. One check over the joined tokens keeps load_index fast.
-    """
-    if not _REAL_CHARS.fullmatch("".join(tokens)):
-        bad = next(t for t in tokens if not _REAL_CHARS.fullmatch(t))
-        raise ValueError(f"{what} must be ASCII decimal or scientific notation, got {bad!r}")
-    return tuple(map(float, tokens))
-
-
-def _parse_int64(token: str, what: str) -> int:
-    value = _parse_count(token, what)
-    if value >= 2**63:  # the columns are int64
-        raise ValueError(f"{what} must lie in [0, 2**63), got {value}")
-    return value
 
 
 def _check_token(value: str, what: str) -> str:
@@ -135,11 +110,11 @@ class FeatureRecord:
 class FeatureDatabase:
     """Immutable set of feature records plus the config they were extracted under.
 
-    The records come in two forms, each built from the other on first use:
-    `records`, one FeatureRecord per record, and the columns (`columns`,
-    `paths` and `labels`), one entry per record in record order. A database
-    made from records starts with the first form; `load_index` gives the
-    second, so a loaded database that only retrieves never builds records.
+    The records come in two forms: the columns (`columns`, `paths` and
+    `labels`), one entry per record in record order, which every database
+    has from the start; and `records`, one FeatureRecord per record, which a
+    loaded database builds only on first use, so one that only retrieves
+    never builds them.
     """
 
     def __init__(self, records, extraction_config: ExtractionConfig, version: int = FORMAT_VERSION):
@@ -147,7 +122,14 @@ class FeatureDatabase:
         ids = [r.record_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("record_ids must be unique within a database")
-        vars(self).update(records=records, extraction_config=extraction_config, version=version)
+        vars(self).update(
+            records=records,
+            columns=FeatureColumns.from_records(records),
+            paths=tuple(r.path for r in records),
+            labels=tuple(r.class_label for r in records),
+            extraction_config=extraction_config,
+            version=version,
+        )
 
     @classmethod
     def _from_columns(cls, columns: FeatureColumns, paths: tuple[str, ...], labels: tuple[str, ...],
@@ -170,19 +152,6 @@ class FeatureDatabase:
                 cols.record_ids.tolist(), self.paths, self.labels, cols.corner_counts.tolist(), cols.hu.tolist()
             )
         )
-
-    @cached_property
-    def columns(self) -> FeatureColumns:
-        """Numeric columns of the records, in record order."""
-        return FeatureColumns.from_records(self.records)
-
-    @cached_property
-    def paths(self) -> tuple[str, ...]:
-        return tuple(r.path for r in self.records)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.class_label for r in self.records)
 
     def by_id(self) -> dict[int, FeatureRecord]:
         return {r.record_id: r for r in self.records}
@@ -208,10 +177,20 @@ class Manifest:
         object.__setattr__(self, "entries", entries)
 
 
+def _read_utf8(path) -> str:
+    """The text of `path`; a byte that is not UTF-8 fails naming its line (lines end at LF)."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IndexFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def read_manifest(path) -> Manifest:
     """Parse a manifest file; `#` lines are comments, blank lines are skipped."""
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -324,15 +303,12 @@ def _parse_cfg_line(line: str, path) -> ExtractionConfig:
             raise IndexFormatError(f"{path}: line 2: expected {key}=..., got {part!r}")
         values[key] = part[len(prefix):]
     try:
-        kappa, sigma, peak = (_parse_reals([values[key]], key)[0] for key in ("kappa", "sigma", "peak"))
+        edge_t, win, nms = (_chunk_int64s([values[key]], key)[0] for key in ("edge_T", "win", "nms"))
+        kappa, sigma, peak = (_chunk_reals([values[key]], key)[0] for key in ("kappa", "sigma", "peak"))
         return ExtractionConfig(
-            edge=EdgeConfig(threshold=_parse_count(values["edge_T"], "edge_T")),
+            edge=EdgeConfig(threshold=edge_t),
             corners=CornerConfig(
-                kappa=kappa,
-                window_sigma=sigma,
-                window_radius=_parse_count(values["win"], "win"),
-                peak_rel_threshold=peak,
-                nms_radius=_parse_count(values["nms"], "nms"),
+                kappa=kappa, window_sigma=sigma, window_radius=win, peak_rel_threshold=peak, nms_radius=nms
             ),
         )
     except ValueError as exc:
@@ -345,89 +321,55 @@ def _parse_cfg_line(line: str, path) -> ExtractionConfig:
 _CHUNK_LINES = 1024
 
 _COUNTS = re.compile(r"(?:0|[1-9][0-9]*)(?:\n(?:0|[1-9][0-9]*))*")
-
-
-class _BadRow(Exception):
-    """A check on a chunk of record lines failed, first at `row` of the chunk."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _first_bad(tokens, check) -> _BadRow:
-    """The first of `tokens` that `check` rejects, once a whole-chunk check has failed."""
-    for row, token in enumerate(tokens):
-        try:
-            check(token)
-        except ValueError as exc:
-            return _BadRow(row, str(exc))
-    raise AssertionError("a chunk check failed on no single token")
+# float() alone also takes whitespace, underscores, non-ASCII digits, nan and
+# inf; with the characters limited to these it takes only the plain notation.
+_REAL_CHARS = re.compile(r"[0-9eE.+-]*")
 
 
 def _chunk_int64s(tokens: list[str], what: str) -> list[int]:
-    if _COUNTS.fullmatch("\n".join(tokens)):
-        values = list(map(int, tokens))
-        if max(values) < 2**63:
-            return values
-    raise _first_bad(tokens, lambda token: _parse_int64(token, what))
+    if not _COUNTS.fullmatch("\n".join(tokens)):
+        raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {tokens[0]!r}")
+    values = list(map(int, tokens))
+    if max(values) >= 2**63:  # the columns are int64
+        raise ValueError(f"{what} must lie in [0, 2**63), got {values[0]}")
+    return values
 
 
-def _chunk_reals(tokens: list[str]) -> list[float]:
-    if _REAL_CHARS.fullmatch("".join(tokens)):
-        try:
-            return list(map(float, tokens))
-        except ValueError:  # e.g. "1e" or "1e5e5"; found again below
-            pass
-    raise _first_bad(tokens, lambda token: _parse_reals([token], "Hu invariants"))
+def _chunk_reals(tokens: list[str], what: str) -> list[float]:
+    if not _REAL_CHARS.fullmatch("".join(tokens)):
+        raise ValueError(f"{what} must be ASCII decimal or scientific notation, got {tokens[0]!r}")
+    return list(map(float, tokens))  # float() still rejects "1e" and "1e5e5"
 
 
 def _chunk_columns(lines: list[str], seen_ids: set[int]):
     """Record ids, corner counts, Hu rows, paths and labels of one chunk of record lines.
 
-    Each check runs once over the whole chunk and, when it fails, raises
-    `_BadRow` for the first line it rejects. Ids are added to `seen_ids`
-    only when the whole chunk is good.
+    These checks are the only statement of the record-line rules. Each runs
+    once over the whole chunk and raises ValueError if any line breaks its
+    rule. The message describes the line's fault when the chunk is that one
+    line, which is how load_index finds and names the first bad line. Ids are
+    added to `seen_ids` only when the whole chunk is good.
     """
     tabs = list(map(str.count, lines, repeat("\t")))
     if tabs.count(10) != len(lines):
-        row = next(row for row, n in enumerate(tabs) if n != 10)
-        raise _BadRow(row, f"expected 11 fields, got {tabs[row] + 1}")
+        raise ValueError(f"expected 11 fields, got {tabs[0] + 1}")
     fields = "\t".join(lines).split("\t")
     ids = _chunk_int64s(fields[0::11], "record_id")
     counts = _chunk_int64s(fields[3::11], "corner_count")
     hu = np.empty((len(lines), 7))
     for j in range(7):
-        hu[:, j] = _chunk_reals(fields[4 + j::11])
-    finite = np.isfinite(hu).all(axis=1)
-    if not finite.all():
-        raise _BadRow(int(np.argmin(finite)), "invariants must be finite")
+        hu[:, j] = _chunk_reals(fields[4 + j::11], "Hu invariants")
+    if not np.isfinite(hu).all():
+        raise ValueError("invariants must be finite")
     paths, labels = fields[1::11], fields[2::11]
     if "" in paths or "\r" in "".join(paths):
-        raise _first_bad(paths, lambda p: _check_token(p, "record path"))
+        raise ValueError(f"record path must not contain a carriage return or be empty: {paths[0]!r}")
     if " ".join(labels).split() != labels:  # equal only if every label is one whitespace-free token
-        raise _first_bad(labels, _check_label)
+        raise ValueError(f"class label must be a single token: {labels[0]!r}")
     if len(set(ids)) != len(ids) or not seen_ids.isdisjoint(ids):
-        earlier = set(seen_ids)
-
-        def unseen(record_id: int) -> None:
-            if record_id in earlier:
-                raise ValueError(f"duplicate record_id {record_id}")
-            earlier.add(record_id)
-
-        raise _first_bad(ids, unseen)
+        raise ValueError(f"duplicate record_id {ids[0]}")
     seen_ids.update(ids)
     return ids, counts, hu, paths, labels
-
-
-def _parse_chunk(lines: list[str], seen_ids: set[int]):
-    """`_chunk_columns`, except that `_BadRow` names the first bad line of the chunk."""
-    try:
-        return _chunk_columns(lines, seen_ids)
-    except _BadRow as bad:
-        if bad.row:
-            _parse_chunk(lines[:bad.row], seen_ids)  # an earlier line may fail a later check
-        raise
 
 
 def load_index(path) -> FeatureDatabase:
@@ -437,7 +379,7 @@ def load_index(path) -> FeatureDatabase:
     CRLF endings) is part of a line and fails that line's checks. The
     records go straight into columns; see the module docstring.
     """
-    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    lines = _read_utf8(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or not lines[0].startswith(FORMAT_TAG):
@@ -461,9 +403,16 @@ def load_index(path) -> FeatureDatabase:
     for start in range(0, n, _CHUNK_LINES):
         chunk = lines[2 + start:2 + start + _CHUNK_LINES]
         try:
-            ids, counts, chunk_hu, chunk_paths, chunk_labels = _parse_chunk(chunk, seen_ids)
-        except _BadRow as bad:
-            raise IndexFormatError(f"{path}: line {start + 3 + bad.row}: {bad}") from None
+            ids, counts, chunk_hu, chunk_paths, chunk_labels = _chunk_columns(chunk, seen_ids)
+        except ValueError as chunk_error:
+            # The same checks, one line at a time, name the first bad line.
+            for lineno, line in enumerate(chunk, start=start + 3):
+                try:
+                    _chunk_columns([line], seen_ids)
+                except ValueError as exc:
+                    raise IndexFormatError(f"{path}: line {lineno}: {exc}") from None
+            last = start + 2 + len(chunk)
+            raise IndexFormatError(f"{path}: lines {start + 3}-{last}: {chunk_error}") from None
         rows = slice(start, start + len(chunk))
         record_ids[rows], corner_counts[rows], hu[rows] = ids, counts, chunk_hu
         log_hu[rows] = log_magnitude_array(chunk_hu)

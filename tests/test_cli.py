@@ -186,6 +186,28 @@ class TestDataErrors:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_non_utf8_database_exits_2(self, indexed, tmp_path, capsys, command):
+        argv = _argv_on_edited_db(indexed, tmp_path, 1, "x.pgm", command)
+        db = tmp_path / "db.tsv"
+        db.write_bytes(db.read_bytes().replace(b"x.pgm", b"\xff.pgm"))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{db}: line 4: not valid UTF-8" in captured.err
+        assert captured.out == ""
+
+    def test_eval_non_utf8_manifest_exits_2(self, indexed, tmp_path, capsys):
+        root, work = indexed
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"kite_rot0.pgm\tkite\nkite\xff_rot60.pgm\tkite\n")
+        code = run(["eval", "--db", str(work / "db.tsv"), "--manifest", str(manifest), "--root", str(work / "rot"),
+                    "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{manifest}: line 2: not valid UTF-8" in captured.err
+        assert captured.out == ""
+
+
 class TestGenRotations:
     def test_single_angle_writes_one_file_per_image(self, base_dataset, tmp_path, capsys):
         code = run([

@@ -111,6 +111,11 @@ class TestManifestIO:
         with pytest.raises(IndexFormatError, match="line 2"):
             read_manifest(tmp_path / "m.tsv")
 
+    def test_non_utf8_manifest_names_its_line(self, tmp_path):
+        (tmp_path / "m.tsv").write_bytes(b"# header\na.pgm\tx\nb\xff.pgm\ty\n")
+        with pytest.raises(IndexFormatError, match=r"m\.tsv: line 3: not valid UTF-8$"):
+            read_manifest(tmp_path / "m.tsv")
+
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "m.tsv").write_text("# nothing here\n")
         with pytest.raises(IndexFormatError, match="no entries"):
@@ -259,6 +264,12 @@ class TestPersistence:
                 load_index(edge)
 
     @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
+    def test_integer_past_the_int_conversion_limit_names_its_line(self, built, tmp_path, field):
+        broken = _with_record_field(built[3], tmp_path, field, "9" * 5000)
+        with pytest.raises(IndexFormatError, match="line 3: "):
+            load_index(broken)
+
+    @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
     @pytest.mark.parametrize("token", ["1_0", "+5", " 7", "7 ", "\u0663", "07", "-1", ""])
     def test_integers_must_be_plain_ascii_decimal(self, built, tmp_path, field, token):
         broken = _with_record_field(built[3], tmp_path, field, token)
@@ -274,7 +285,11 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="line 3: "):
             load_index(broken)
 
-    @pytest.mark.parametrize("key, token", [("edge_T", "+30"), ("nms", "0_2"), ("win", "\u0662"), ("kappa", " 0.04")])
+    @pytest.mark.parametrize(
+        "key, token",
+        [("edge_T", "+30"), ("nms", "0_2"), ("win", "\u0662"), ("kappa", " 0.04"),
+         ("edge_T", "07"), ("nms", "+2"), ("kappa", "nan"), ("win", str(2**63))],
+    )
     def test_cfg_fields_must_be_plain_ascii(self, built, tmp_path, key, token):
         _, _, _, out = built
         lines = out.read_text().splitlines()
@@ -331,6 +346,53 @@ class TestPersistence:
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(IndexFormatError, match="duplicate record_id"):
             load_index(broken)
+
+
+def _edited_db(tmp_path, edits):
+    """A saved six-record database (lines 3-8) with `edits`, {line number: (field, token)}, applied."""
+    records = [FeatureRecord(i, f"{i}.pgm", "a", i, HuVector((1.0,) * 7)) for i in range(6)]
+    db_file = tmp_path / "edited.tsv"
+    save_index(FeatureDatabase(records, ExtractionConfig()), db_file)
+    lines = db_file.read_text(encoding="utf-8").split("\n")
+    for lineno, (field, token) in edits.items():
+        parts = lines[lineno - 1].split("\t")
+        parts[field] = token
+        lines[lineno - 1] = "\t".join(parts)
+    db_file.write_text("\n".join(lines), encoding="utf-8")
+    return db_file
+
+
+class TestFirstBadLine:
+    """A failed chunk is checked again one line at a time; the first line that fails is named."""
+
+    def test_earlier_line_failing_a_later_check_is_named(self, tmp_path):
+        db_file = _edited_db(tmp_path, {4: (2, "two words"), 7: (0, "07")})
+        with pytest.raises(IndexFormatError, match=r": line 4: class label must be a single token"):
+            load_index(db_file)
+
+    def test_duplicate_id_across_a_chunk_boundary(self, tmp_path, monkeypatch):
+        db_file = _edited_db(tmp_path, {6: (0, "1")})  # line 4 has id 1, in the chunk before
+        monkeypatch.setattr(index, "_CHUNK_LINES", 2)
+        with pytest.raises(IndexFormatError, match=r": line 6: duplicate record_id 1$"):
+            load_index(db_file)
+
+    def test_chunk_failing_on_no_single_line_does_not_load(self, built, monkeypatch):
+        checks = index._chunk_columns
+
+        def whole_chunks_fail(lines, seen_ids):
+            if len(lines) > 1:
+                raise ValueError("a fault of the chunk only")
+            return checks(lines, seen_ids)
+
+        monkeypatch.setattr(index, "_chunk_columns", whole_chunks_fail)
+        with pytest.raises(IndexFormatError, match=r": lines 3-5: a fault of the chunk only$"):
+            load_index(built[3])
+
+    def test_non_utf8_database_names_its_line(self, tmp_path):
+        db_file = _edited_db(tmp_path, {6: (1, "x.pgm")})
+        db_file.write_bytes(db_file.read_bytes().replace(b"x.pgm", b"\xff.pgm"))
+        with pytest.raises(IndexFormatError, match=rf"^{re.escape(str(db_file))}: line 6: not valid UTF-8$"):
+            load_index(db_file)
 
 
 int64s = st.one_of(st.integers(0, 50), st.sampled_from([2**63 - 1, 10**18]), st.integers(0, 2**63 - 1))
