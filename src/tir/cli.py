@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .index import (
 )
 from .matching import ThresholdConfig
 from .moments import DegenerateImageError
+from .parallel import usable_cpus
 
 _MODES = {"hybrid": EvalMode.HYBRID, "corner": EvalMode.CORNER_ONLY, "moments": EvalMode.MOMENTS_ONLY}
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--harris-window", type=int, default=2, metavar="R")
     p_index.add_argument("--peak-threshold", type=float, default=0.01, metavar="F")
     p_index.add_argument("--nms-radius", type=int, default=2, metavar="R")
-    p_index.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1, metavar="N")
+    p_index.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_query = sub.add_parser("query", help="rank database images against one query image")
     p_query.add_argument("--db", required=True, help="feature database path")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--band-width", type=int, default=20, metavar="R")
     p_eval.add_argument("--base-threshold", type=float, default=5.0, metavar="T0")
     p_eval.add_argument("--multiplier", type=float, default=1.5, metavar="M")
-    p_eval.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1, metavar="N")
+    p_eval.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_gen = sub.add_parser("gen-rotations", help="write rotated copies of every manifest image")
     p_gen.add_argument("--manifest", required=True)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
-from .index import FeatureDatabase, Manifest, extract_features
+from .index import FeatureDatabase, Manifest, _image_features
+from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import FeatureColumns, ThresholdConfig, corner_filter, rank_by_moments
-from .parallel import map_ordered
+from .parallel import ItemError, map_ordered
 
 
 class MetricUndefinedError(ValueError):
@@ -150,8 +152,10 @@ def evaluate(
     """Evaluate every manifest query against the database in one mode.
 
     With `exclude_self` the query's own record (same path) is dropped from
-    both the candidate pool and the relevant set. Any failing query aborts
-    the evaluation with its path named.
+    both the candidate pool and the relevant set. Query images are loaded
+    and their features extracted on up to `jobs` worker processes; ranking
+    and scoring run here. Any failing query aborts the evaluation with its
+    path named, the first in manifest order if several fail.
     """
     root = Path(root)
     cfg = db.extraction_config
@@ -163,13 +167,16 @@ def evaluate(
     by_path = dict(zip(db.paths, ids))
     paths = np.array(db.paths, dtype=str)
 
-    def one(entry: tuple[str, str]) -> QueryResult:
-        rel_path, label = entry
+    query_paths = [rel_path for rel_path, _ in query_manifest.entries]
+    try:
+        features, failed = map_ordered(partial(_image_features, root, cfg), query_paths, jobs), None
+    except ItemError as err:
+        # Rank the queries before the failing one first: the first query to
+        # fail in manifest order, at either step, is the one reported.
+        features, failed = err.results, err
+    results = []
+    for (rel_path, label), (count, hu) in zip(query_manifest.entries, features):
         try:
-            image = load_image(root / rel_path)
-            if isinstance(image, RgbImage):
-                image = rgb_to_gray(image)
-            count, hu = extract_features(image, cfg.edge, cfg.corners)
             relevant = set(by_class.get(label, set()))
             candidates = columns
             if exclude_self:
@@ -180,9 +187,9 @@ def evaluate(
             point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
         except Exception as exc:
             raise RuntimeError(f"query {rel_path!r}: {exc}") from exc
-        return QueryResult(rel_path, label, point)
-
-    results = map_ordered(one, query_manifest.entries, jobs)
+        results.append(QueryResult(rel_path, label, point))
+    if failed is not None:
+        raise RuntimeError(f"query {query_paths[failed.index]!r}: {failed.__cause__}") from failed.__cause__
     mean_p = sum(r.point.precision for r in results) / len(results)
     mean_r = sum(r.point.recall for r in results) / len(results)
     return EvalReport(mode, tuple(results), PRPoint(mean_p, mean_r))

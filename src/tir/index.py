@@ -10,7 +10,8 @@ Reals use scientific notation with 17 significant digits, which round-trips
 IEEE-754 doubles exactly. Integers are written as 0 or [1-9][0-9]*, and
 load_index reads them in that form only; it reads reals in ASCII decimal or
 scientific notation only. Manifest files carry one `<path><TAB><class_label>`
-per line; lines starting with `#` are comments.
+per line (lines end at LF; a CR before it is dropped); lines starting with
+`#` are comments.
 
 load_index parses the record lines in fixed-size chunks straight into
 columns: the numeric `FeatureColumns` plus the path and label tuples. A
@@ -28,7 +29,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from .matching import (
     rank_by_moments,
 )
 from .moments import HuVector, hu_moments
-from .parallel import map_ordered
+from .parallel import ItemError, map_ordered
 
 FORMAT_TAG = "TIRDB"
 FORMAT_VERSION = 1
@@ -187,12 +188,24 @@ def _read_utf8(path) -> str:
         raise IndexFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
 
 
+def _skipped(line: str) -> bool:
+    """Whether read_manifest skips `line`, as blank or as a comment."""
+    return not line.strip() or line.lstrip().startswith("#")
+
+
 def read_manifest(path) -> Manifest:
-    """Parse a manifest file; `#` lines are comments, blank lines are skipped."""
+    """Parse a manifest file; `#` lines are comments, blank lines are skipped.
+
+    Lines end at LF only, so other Unicode line breaks stay inside a path.
+    One CR right before an LF is dropped, so CRLF files read too; any other
+    CR fails its line.
+    """
     entries = []
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+    for lineno, line in enumerate(_read_utf8(path).replace("\r\n", "\n").split("\n"), start=1):
+        if _skipped(line):
             continue
+        if "\r" in line:
+            raise IndexFormatError(f"{path}: line {lineno}: carriage return inside a line (lines end at LF)")
         parts = line.split("\t")
         if len(parts) != 2:
             raise IndexFormatError(f"{path}: line {lineno}: expected <path><TAB><class_label>")
@@ -203,7 +216,17 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
+    """Write one `<path><TAB><class_label>` line per entry.
+
+    An entry whose line read_manifest would skip as blank or as a comment
+    is an error, and nothing is written.
+    """
     lines = [f"{p}\t{c}" for p, c in manifest.entries]
+    for line, (entry_path, _) in zip(lines, manifest.entries):
+        if _skipped(line):
+            raise IndexFormatError(
+                f"{path}: manifest entry {entry_path!r} would read back as a blank or comment line"
+            )
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -217,6 +240,18 @@ def extract_features(
     return count, hu_moments(image)
 
 
+def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[int, HuVector]:
+    """Load `root / rel_path`, convert it to gray if it is RGB, and extract its features.
+
+    The one per-image step of indexing and evaluation, and the work that
+    map_ordered hands to its workers.
+    """
+    image = load_image(root / rel_path)
+    if isinstance(image, RgbImage):
+        image = rgb_to_gray(image)
+    return extract_features(image, config.edge, config.corners)
+
+
 def build_index(
     manifest: Manifest,
     root,
@@ -226,8 +261,10 @@ def build_index(
 ) -> FeatureDatabase:
     """Extract features for every manifest entry and persist the database to `out`.
 
-    Records keep manifest order with record_id = entry index. Any unreadable or
-    degenerate image aborts the build, naming the offending path.
+    Records keep manifest order with record_id = entry index. Images are
+    loaded and extracted on up to `jobs` worker processes. Any unreadable or
+    degenerate image aborts the build, naming the offending path (the first
+    in manifest order if several fail).
     """
     root = Path(root)
     for rel_path, label in manifest.entries:  # before any extraction, which is the slow part
@@ -236,18 +273,15 @@ def build_index(
         except ValueError as exc:
             raise IndexBuildError(f"manifest entry {rel_path!r}: {exc}") from exc
 
-    def one(indexed_entry: tuple[int, tuple[str, str]]) -> FeatureRecord:
-        idx, (rel_path, label) = indexed_entry
-        try:
-            image = load_image(root / rel_path)
-            if isinstance(image, RgbImage):
-                image = rgb_to_gray(image)
-            count, hu = extract_features(image, config.edge, config.corners)
-        except Exception as exc:
-            raise IndexBuildError(f"manifest entry {rel_path!r}: {exc}") from exc
-        return FeatureRecord(idx, rel_path, label, count, hu)
-
-    records = map_ordered(one, enumerate(manifest.entries), jobs)
+    paths = [rel_path for rel_path, _ in manifest.entries]
+    try:
+        features = map_ordered(partial(_image_features, root, config), paths, jobs)
+    except ItemError as err:
+        raise IndexBuildError(f"manifest entry {paths[err.index]!r}: {err.__cause__}") from err.__cause__
+    records = [
+        FeatureRecord(idx, rel_path, label, count, hu)
+        for idx, ((rel_path, label), (count, hu)) in enumerate(zip(manifest.entries, features))
+    ]
     db = FeatureDatabase(tuple(records), config)
     if out is not None:
         save_index(db, out)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tir.cli import run
-from tir.imaging import save_pgm
-from tir.index import Manifest, write_manifest
+from tir.imaging import GrayImage, save_pgm
+from tir.index import Manifest, read_manifest, write_manifest
 from tir.shapes import benchmark_shapes
 
 
@@ -129,6 +129,29 @@ class TestDataErrors:
                     "--out", str(tmp_path / "db.tsv")])
         assert code == 2
         assert "ghost.pgm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["missing.pgm", "blank.pgm"])
+    @pytest.mark.parametrize("command", ["index", "eval"])
+    def test_two_jobs_report_a_bad_image_like_one(self, indexed, tmp_path, capsys, command, bad):
+        root, work = indexed
+        save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "blank.pgm")
+        good = [(str(work / "rot" / p), c) for p, c in read_manifest(work / "rot.tsv").entries[:3]]
+        write_manifest(Manifest((good[0], (bad, "x"), *good[1:])), tmp_path / "m.tsv")
+        argv = [command, "--manifest", str(tmp_path / "m.tsv"), "--root", str(tmp_path)]
+        if command == "index":
+            argv += ["--out", str(tmp_path / "db.tsv")]
+        else:
+            argv += ["--db", str(work / "db.tsv"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
+        results = []
+        for jobs in ("1", "2"):
+            code = run([*argv, "--jobs", jobs])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 2
+        entry = "manifest entry" if command == "index" else "query"
+        assert err.startswith(f"tir {command}: error: {entry} {bad!r}: ")
+        assert not (tmp_path / "db.tsv").exists() and not (tmp_path / "pr.csv").exists()
 
     def test_index_multi_token_label_exits_2_before_extraction(self, base_dataset, tmp_path, capsys, monkeypatch):
         loaded = []

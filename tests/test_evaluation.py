@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tir.evaluation import (
     precision,
     recall,
 )
-from tir.imaging import load_image, save_pgm
+from tir.imaging import GrayImage, load_image, save_pgm
 from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
@@ -186,6 +188,36 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="absent.pgm"):
             evaluate(db, bad, root, EvalMode.HYBRID, k=2)
 
+    @pytest.mark.parametrize("bad", ["missing.pgm", "blank.pgm"])
+    def test_two_jobs_fail_like_one(self, small_eval, tmp_path, bad):
+        # The bad query sits between good ones, so two workers both get work.
+        root, manifest, db = small_eval
+        save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "blank.pgm")
+        entries = [(str(root / p), c) for p, c in manifest.entries[:4]]
+        queries = Manifest((*entries[:2], (bad, "x"), *entries[2:]))
+        failures = []
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as failed:
+                evaluate(db, queries, tmp_path, EvalMode.HYBRID, k=3, jobs=jobs)
+            failures.append((type(failed.value), type(failed.value.__cause__), str(failed.value)))
+            assert multiprocessing.active_children() == []
+        assert failures[0] == failures[1]
+        assert failures[0][0] is RuntimeError
+        assert failures[0][2].startswith(f"query {bad!r}: ")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_earlier_ranking_failure_beats_later_extraction_failure(self, tmp_path, jobs):
+        # Singleton classes with exclude_self: every query's relevant set is
+        # empty, so the first query fails in ranking, before the missing file.
+        entries = []
+        for name, img in benchmark_shapes()[:2]:
+            save_pgm(img, tmp_path / f"{name}.pgm")
+            entries.append((f"{name}.pgm", name))
+        db = build_index(Manifest(tuple(entries)), tmp_path, ExtractionConfig())
+        queries = Manifest((*entries, ("absent.pgm", "x")))
+        with pytest.raises(RuntimeError, match=f"^query {entries[0][0]!r}: recall is undefined"):
+            evaluate(db, queries, tmp_path, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True, jobs=jobs)
+
     def test_parallel_matches_serial(self, small_eval):
         root, manifest, db = small_eval
         serial = evaluate(db, manifest, root, EvalMode.HYBRID, k=3)
@@ -205,12 +237,14 @@ class TestEvaluate:
         ]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("mode", list(EvalMode))
-    def test_loaded_database_builds_no_records(self, small_eval, records_made, mode, exclude_self):
+    def test_loaded_database_builds_no_records(self, small_eval, records_made, mode, exclude_self, jobs):
+        # With one job every call runs in this process, where records_made sees it.
         root, manifest, db = small_eval
         report = evaluate(load_index(root.parent / "db.tsv"), manifest, root, mode, k=3,
-                          exclude_self=exclude_self, jobs=2)
+                          exclude_self=exclude_self, jobs=jobs)
         assert records_made == []
         assert report == evaluate(db, manifest, root, mode, k=3, exclude_self=exclude_self)
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import re
 from unittest import mock
@@ -121,6 +122,46 @@ class TestManifestIO:
         with pytest.raises(IndexFormatError, match="no entries"):
             read_manifest(tmp_path / "m.tsv")
 
+    def test_lines_end_at_lf_only(self, tmp_path):
+        (tmp_path / "m.tsv").write_bytes("dir/a.pgm\tcls\u2028b.pgm\tcls2\n".encode("utf-8"))
+        with pytest.raises(IndexFormatError, match="line 1: expected <path><TAB><class_label>"):
+            read_manifest(tmp_path / "m.tsv")
+        (tmp_path / "m.tsv").write_bytes("a\u2028b.pgm\tx\u0085y\n".encode("utf-8"))
+        assert read_manifest(tmp_path / "m.tsv").entries == (("a\u2028b.pgm", "x\u0085y"),)
+
+    def test_crlf_manifest_reads_as_lf(self, tmp_path):
+        (tmp_path / "m.tsv").write_bytes(b"# header\r\na.pgm\tx\r\n\r\nb.pgm\ty\r\n")
+        assert read_manifest(tmp_path / "m.tsv").entries == (("a.pgm", "x"), ("b.pgm", "y"))
+
+    def test_lone_carriage_return_names_its_line(self, tmp_path):
+        (tmp_path / "m.tsv").write_bytes(b"a.pgm\tx\rb.pgm\ty\n")
+        with pytest.raises(IndexFormatError, match=r"m\.tsv: line 1: carriage return"):
+            read_manifest(tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("entry", [("#a.pgm", "x"), (" # a.pgm", "x"), (" ", "\u2028")])
+    def test_write_refuses_an_entry_that_reads_back_as_skipped(self, tmp_path, entry):
+        manifest = Manifest((entry, ("b.pgm", "y")))
+        with pytest.raises(IndexFormatError, match="would read back as a blank or comment line"):
+            write_manifest(manifest, tmp_path / "m.tsv")
+        assert not (tmp_path / "m.tsv").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.text(st.characters(exclude_characters="\t\n\r"), min_size=1)] * 2),
+                    min_size=1, max_size=4))
+    @example([("a\u2028b.pgm", "x")])
+    @example([("#a.pgm", "x"), ("b.pgm", "y")])
+    @example([("a.pgm", "x\x0c"), ("\x1c", "\x85")])
+    @example([("0", "\ud800")])
+    def test_every_written_manifest_reads_back_equal(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("manifest") / "m.tsv"
+        manifest = Manifest(tuple(entries))
+        try:
+            write_manifest(manifest, path)
+        except ValueError:  # a skipped line (IndexFormatError) or a lone surrogate (UnicodeEncodeError)
+            assert not path.exists()
+            return
+        assert read_manifest(path) == manifest
+
 
 class TestExtractFeatures:
     def test_square_scene_features(self, scene):
@@ -172,6 +213,23 @@ class TestBuildIndex:
         root, manifest, db, _ = built
         parallel = build_index(manifest, root, ExtractionConfig(), out=tmp_path / "db3.tsv", jobs=4)
         assert parallel.records == db.records
+
+    @pytest.mark.parametrize("bad", ["missing.pgm", "blank.pgm"])
+    def test_two_jobs_fail_like_one(self, shape_dataset, tmp_path, bad):
+        # The bad entry sits between good ones, so two workers both get work.
+        root, manifest = shape_dataset
+        save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "blank.pgm")
+        entries = [(str(root / p), c) for p, c in manifest.entries]
+        bad_manifest = Manifest((*entries[:2], (bad, "x"), *entries[2:]))
+        failures = []
+        for jobs in (1, 2):
+            with pytest.raises(IndexBuildError) as failed:
+                build_index(bad_manifest, tmp_path, ExtractionConfig(), out=tmp_path / "db.tsv", jobs=jobs)
+            failures.append((type(failed.value.__cause__), str(failed.value)))
+            assert multiprocessing.active_children() == []
+        assert failures[0] == failures[1]
+        assert failures[0][1].startswith(f"manifest entry {bad!r}: ")
+        assert not (tmp_path / "db.tsv").exists()
 
 
 class TestPersistence:
