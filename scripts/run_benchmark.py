@@ -61,7 +61,7 @@ def main() -> int:
 
     db = build_index(rotated, out / "dataset", ExtractionConfig(), out=out / "features.tsv",
                      jobs=args.jobs)
-    print(f"indexed {len(db.records)} records in {time.perf_counter() - started:.1f}s",
+    print(f"indexed {len(db.paths)} records in {time.perf_counter() - started:.1f}s",
           file=sys.stderr)
 
     threshold_cfg = ThresholdConfig()

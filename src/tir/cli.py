@@ -57,6 +57,13 @@ def _angle_list(text: str) -> list[float]:
     return angles
 
 
+def _add_window_options(parser: argparse.ArgumentParser) -> None:
+    """The adaptive-window options that `query` and `eval` share."""
+    parser.add_argument("--band-width", type=int, default=ThresholdConfig.band_width, metavar="R")
+    parser.add_argument("--base-threshold", type=float, default=ThresholdConfig.base_threshold, metavar="T0")
+    parser.add_argument("--multiplier", type=float, default=ThresholdConfig.multiplier, metavar="M")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tir", description="Shape-based trademark image retrieval.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -65,21 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--manifest", required=True, help="dataset manifest (path<TAB>class per line)")
     p_index.add_argument("--root", required=True, help="directory manifest paths are relative to")
     p_index.add_argument("--out", required=True, help="feature database output path")
-    p_index.add_argument("--edge-threshold", type=int, default=30, metavar="T")
-    p_index.add_argument("--harris-kappa", type=float, default=0.04, metavar="K")
-    p_index.add_argument("--harris-sigma", type=float, default=1.5, metavar="S")
-    p_index.add_argument("--harris-window", type=int, default=2, metavar="R")
-    p_index.add_argument("--peak-threshold", type=float, default=0.01, metavar="F")
-    p_index.add_argument("--nms-radius", type=int, default=2, metavar="R")
+    p_index.add_argument("--edge-threshold", type=int, default=EdgeConfig.threshold, metavar="T")
+    p_index.add_argument("--harris-kappa", type=float, default=CornerConfig.kappa, metavar="K")
+    p_index.add_argument("--harris-sigma", type=float, default=CornerConfig.window_sigma, metavar="S")
+    p_index.add_argument("--harris-window", type=int, default=CornerConfig.window_radius, metavar="R")
+    p_index.add_argument("--peak-threshold", type=float, default=CornerConfig.peak_rel_threshold, metavar="F")
+    p_index.add_argument("--nms-radius", type=int, default=CornerConfig.nms_radius, metavar="R")
     p_index.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_query = sub.add_parser("query", help="rank database images against one query image")
     p_query.add_argument("--db", required=True, help="feature database path")
     p_query.add_argument("--image", required=True, help="query image (P2/P3/P5/P6)")
     p_query.add_argument("--top", type=_positive_int, default=10, metavar="K")
-    p_query.add_argument("--band-width", type=int, default=20, metavar="R")
-    p_query.add_argument("--base-threshold", type=float, default=5.0, metavar="T0")
-    p_query.add_argument("--multiplier", type=float, default=1.5, metavar="M")
+    _add_window_options(p_query)
     p_query.add_argument("--raw-moment-distance", action="store_true",
                          help="rank on raw invariants instead of log-scaled ones")
 
@@ -92,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--top", type=_positive_int, default=6, metavar="K")
     p_eval.add_argument("--exclude-self", action="store_true",
                         help="drop the query's own record from candidates and relevant set")
-    p_eval.add_argument("--band-width", type=int, default=20, metavar="R")
-    p_eval.add_argument("--base-threshold", type=float, default=5.0, metavar="T0")
-    p_eval.add_argument("--multiplier", type=float, default=1.5, metavar="M")
+    _add_window_options(p_eval)
     p_eval.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_gen = sub.add_parser("gen-rotations", help="write rotated copies of every manifest image")
@@ -131,7 +134,7 @@ def _threshold_config(args) -> ThresholdConfig:
 def _cmd_index(args) -> int:
     manifest = read_manifest(args.manifest)
     db = build_index(manifest, args.root, args.config, out=args.out, jobs=args.jobs)
-    print(f"indexed {len(db.records)} records -> {args.out}", file=sys.stderr)
+    print(f"indexed {len(db.paths)} records -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -164,7 +164,6 @@ def evaluate(
     by_class: dict[str, set[int]] = {}
     for record_id, label in zip(ids, db.labels):
         by_class.setdefault(label, set()).add(record_id)
-    by_path = dict(zip(db.paths, ids))
     paths = np.array(db.paths, dtype=str)
 
     query_paths = [rel_path for rel_path, _ in query_manifest.entries]
@@ -177,12 +176,12 @@ def evaluate(
     results = []
     for (rel_path, label), (count, hu) in zip(query_manifest.entries, features):
         try:
-            relevant = set(by_class.get(label, set()))
+            relevant = by_class.get(label, set())
             candidates = columns
             if exclude_self:
-                candidates = columns.select(paths != rel_path)
-                if rel_path in by_path:
-                    relevant.discard(by_path[rel_path])
+                own = paths == rel_path
+                candidates = columns.select(~own)
+                relevant = relevant - set(columns.record_ids[own].tolist())
             retrieved = _retrieved_ids(candidates, count, hu, mode, threshold_cfg, k)
             point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
         except Exception as exc:

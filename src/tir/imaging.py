@@ -97,6 +97,8 @@ def _header_ints(data: bytes, start: int, count: int) -> tuple[list[int], int]:
         tok = data[i:j]
         if not tok.isdigit():
             raise PnmError(f"malformed header: expected an integer, got {tok!r}")
+        if len(tok) > 18:  # no file holds that much; int() and str() refuse thousands of digits
+            raise PnmError(f"malformed header: integer of {len(tok)} digits (at most 18)")
         tokens.append(int(tok))
         i = j
     return tokens, i

@@ -70,6 +70,8 @@ def _check_token(value: str, what: str) -> str:
         raise ValueError(f"{what} must be non-empty")
     if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{what} must not contain tabs or newlines: {value!r}")
+    if not value.isascii() and re.search("[\ud800-\udfff]", value):
+        raise ValueError(f"{what} must not contain a lone surrogate, which UTF-8 cannot hold: {value!r}")
     return value
 
 
@@ -118,7 +120,7 @@ class FeatureDatabase:
     never builds them.
     """
 
-    def __init__(self, records, extraction_config: ExtractionConfig, version: int = FORMAT_VERSION):
+    def __init__(self, records, extraction_config: ExtractionConfig):
         records = tuple(records)
         ids = [r.record_id for r in records]
         if len(set(ids)) != len(ids):
@@ -129,7 +131,6 @@ class FeatureDatabase:
             paths=tuple(r.path for r in records),
             labels=tuple(r.class_label for r in records),
             extraction_config=extraction_config,
-            version=version,
         )
 
     @classmethod
@@ -137,8 +138,7 @@ class FeatureDatabase:
                       extraction_config: ExtractionConfig) -> "FeatureDatabase":
         """A database over columns that load_index has validated."""
         db = cls.__new__(cls)
-        vars(db).update(columns=columns, paths=paths, labels=labels,
-                        extraction_config=extraction_config, version=FORMAT_VERSION)
+        vars(db).update(columns=columns, paths=paths, labels=labels, extraction_config=extraction_config)
         return db
 
     def __setattr__(self, name, value):
@@ -154,12 +154,14 @@ class FeatureDatabase:
             )
         )
 
-    def by_id(self) -> dict[int, FeatureRecord]:
-        return {r.record_id: r for r in self.records}
-
     def row(self, record_id: int) -> int:
         """Position of `record_id` in record order."""
         return int(np.flatnonzero(self.columns.record_ids == record_id)[0])
+
+
+def _check_entry(path: str, label: str) -> None:
+    _check_token(path, "manifest path")
+    _check_token(label, "class label")
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,7 @@ class Manifest:
         if not entries:
             raise ValueError("manifest must contain at least one entry")
         for path, label in entries:
-            _check_token(path, "manifest path")
-            _check_token(label, "class label")
+            _check_entry(path, label)
         object.__setattr__(self, "entries", entries)
 
 
@@ -209,6 +210,10 @@ def read_manifest(path) -> Manifest:
         parts = line.split("\t")
         if len(parts) != 2:
             raise IndexFormatError(f"{path}: line {lineno}: expected <path><TAB><class_label>")
+        try:
+            _check_entry(*parts)
+        except ValueError as exc:
+            raise IndexFormatError(f"{path}: line {lineno}: {exc}") from None
         entries.append((parts[0], parts[1]))
     if not entries:
         raise IndexFormatError(f"{path}: manifest contains no entries")
@@ -240,16 +245,20 @@ def extract_features(
     return count, hu_moments(image)
 
 
+def _gray_features(image: GrayImage | RgbImage, config: ExtractionConfig) -> tuple[int, HuVector]:
+    """`extract_features` under `config`, after converting an RGB image to gray."""
+    if isinstance(image, RgbImage):
+        image = rgb_to_gray(image)
+    return extract_features(image, config.edge, config.corners)
+
+
 def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[int, HuVector]:
-    """Load `root / rel_path`, convert it to gray if it is RGB, and extract its features.
+    """Load `root / rel_path` and extract its features, in gray.
 
     The one per-image step of indexing and evaluation, and the work that
     map_ordered hands to its workers.
     """
-    image = load_image(root / rel_path)
-    if isinstance(image, RgbImage):
-        image = rgb_to_gray(image)
-    return extract_features(image, config.edge, config.corners)
+    return _gray_features(load_image(root / rel_path), config)
 
 
 def build_index(
@@ -291,7 +300,7 @@ def build_index(
 def save_index(db: FeatureDatabase, path) -> None:
     cfg = db.extraction_config
     lines = [
-        f"{FORMAT_TAG}\t{db.version}",
+        f"{FORMAT_TAG}\t{FORMAT_VERSION}",
         "CFG\tedge_T={}\tkappa={}\tsigma={}\twin={}\tpeak={}\tnms={}".format(
             cfg.edge.threshold,
             _fmt_real(cfg.corners.kappa),
@@ -473,9 +482,6 @@ def query(
     """
     if not len(db.columns):
         raise ValueError("cannot query an empty database")
-    if isinstance(image, RgbImage):
-        image = rgb_to_gray(image)
-    cfg = db.extraction_config
-    count, hu = extract_features(image, cfg.edge, cfg.corners)
+    count, hu = _gray_features(image, db.extraction_config)
     candidates = corner_filter(count, db.columns, threshold_cfg)
     return rank_by_moments(hu, candidates, k, query_corner_count=count, log_scale=log_scale)

@@ -5,24 +5,19 @@ The window around a query's corner count widens multiplicatively with the
 count band: Threshold = base_threshold * multiplier^floor(count / band_width),
 a step function that keeps the acceptance window proportional to the count.
 
-Filtering and ranking run on `FeatureColumns`, a columnar view of feature
-records, as numpy operations over whole columns; record sequences are
-converted to that view, so each stage has one implementation.
+Filtering and ranking take `FeatureColumns`, a columnar view of feature
+records, and run as numpy operations over whole columns.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .moments import HuVector
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .index import FeatureRecord
 
 # Added inside the log before scaling; keeps zero invariants finite.
 LOG_EPSILON = 1e-30
@@ -105,38 +100,27 @@ def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) 
 
 def corner_filter(
     query_count: int,
-    records: "FeatureColumns | Iterable[FeatureRecord]",
+    columns: FeatureColumns,
     config: ThresholdConfig = ThresholdConfig(),
-) -> "FeatureColumns | list[FeatureRecord]":
-    """Records whose corner count falls in the query's window, input order preserved.
-
-    A `FeatureColumns` view gives a view of the survivors; any other iterable
-    of records gives a list of the surviving records.
-    """
+) -> FeatureColumns:
+    """The rows whose corner count falls in the query's window, in view order."""
     window = adaptive_threshold(query_count, config)
-    if isinstance(records, FeatureColumns):
-        return records.select(window.contains(records.corner_counts))
-    records = list(records)
-    counts = np.array([r.corner_count for r in records], dtype=np.int64)
-    return list(itertools.compress(records, window.contains(counts)))
+    return columns.select(window.contains(columns.corner_counts))
 
 
 def log_magnitude(values: Iterable[float]) -> tuple[float, ...]:
-    """Per-component sign(v) * log10(|v| + eps).
-
-    Hu invariants span many orders of magnitude (phi1 ~ 1e-1, phi7 ~ 1e-15 for
-    typical shapes); without this rescaling a Euclidean distance is dominated
-    by phi1 alone.
-    """
-    return tuple(math.copysign(1.0, v) * math.log10(abs(v) + LOG_EPSILON) if v != 0.0 else 0.0 for v in values)
+    """`log_magnitude_array` of an iterable of floats, as a tuple."""
+    return tuple(log_magnitude_array(np.fromiter(values, np.float64)).tolist())
 
 
 def log_magnitude_array(values: np.ndarray) -> np.ndarray:
-    """`log_magnitude` of every element of a float64 array, with the same bits.
+    """Per-element sign(v) * log10(|v| + eps) of a float64 array; 0 stays 0.
 
-    The log runs per element through `math.log10`, since `np.log10` differs
-    from it in the last bit for some inputs; the absolute value, the epsilon
-    sum and the sign are exact in numpy as in Python.
+    Hu invariants span many orders of magnitude (phi1 ~ 1e-1, phi7 ~ 1e-15 for
+    typical shapes); without this rescaling a Euclidean distance is dominated
+    by phi1 alone. The log runs per element through `math.log10`, since
+    `np.log10` differs from it in the last bit for some inputs; the absolute
+    value, the epsilon sum and the sign are exact in numpy as in Python.
     """
     shifted = (np.abs(values) + LOG_EPSILON).ravel().tolist()
     logs = np.fromiter(map(math.log10, shifted), np.float64, len(shifted)).reshape(values.shape)
@@ -157,7 +141,8 @@ class FeatureColumns:
     log_hu: np.ndarray
 
     @classmethod
-    def from_records(cls, records: Iterable["FeatureRecord"]) -> "FeatureColumns":
+    def from_records(cls, records: Iterable) -> "FeatureColumns":
+        """Columns of `records` (`tir.index.FeatureRecord`s), in input order."""
         records = list(records)
         hu = np.array([r.hu.phi for r in records], dtype=np.float64).reshape(-1, 7)
         return cls(
@@ -181,7 +166,7 @@ class FeatureColumns:
 
 def rank_by_moments(
     query_hu: HuVector,
-    candidates: "FeatureColumns | Sequence[FeatureRecord]",
+    columns: FeatureColumns,
     k: int,
     *,
     query_corner_count: int | None = None,
@@ -191,23 +176,21 @@ def rank_by_moments(
 
     Distances are Euclidean over log-scaled invariants unless `log_scale` is
     off. `query_corner_count`, when given, fills each match's
-    corner_difference for inspection. `candidates` is a `FeatureColumns`
-    view or a sequence of records.
+    corner_difference for inspection.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cols = candidates if isinstance(candidates, FeatureColumns) else FeatureColumns.from_records(candidates)
-    query_vec = np.array(log_magnitude(query_hu) if log_scale else tuple(query_hu), dtype=np.float64)
+    query_vec = log_magnitude_array(query_hu.as_array()) if log_scale else query_hu.as_array()
     # numpy squares by multiplication and adds a 7-element row left to right,
     # so every distance has the bits of euclidean_distance.
-    distances = np.sqrt((((cols.log_hu if log_scale else cols.hu) - query_vec) ** 2).sum(axis=1))
-    shortlist = np.arange(len(cols))
-    if k < len(cols):
+    distances = np.sqrt((((columns.log_hu if log_scale else columns.hu) - query_vec) ** 2).sum(axis=1))
+    shortlist = np.arange(len(columns))
+    if k < len(columns):
         # Everything as close as the k-th distance stays, so ties reach the sort.
         shortlist = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
-    rows = shortlist[np.lexsort((cols.record_ids[shortlist], distances[shortlist]))[:k]]
+    rows = shortlist[np.lexsort((columns.record_ids[shortlist], distances[shortlist]))[:k]]
     differences = [0] * len(rows)
     if query_corner_count is not None:
-        differences = np.abs(cols.corner_counts[rows] - query_corner_count).tolist()
-    ids, row_distances = cols.record_ids[rows].tolist(), distances[rows].tolist()
+        differences = np.abs(columns.corner_counts[rows] - query_corner_count).tolist()
+    ids, row_distances = columns.record_ids[rows].tolist(), distances[rows].tolist()
     return [RankedMatch(*match) for match in zip(ids, differences, row_distances)]

@@ -245,7 +245,7 @@ def test_c09a_self_retrieval_up_to_feature_ties(experiment):
         hu_count: dict[tuple, int] = {}
         for record in db.records:
             hu_count[record.hu.phi] = hu_count.get(record.hu.phi, 0) + 1
-        by_id = db.by_id()
+        by_id = {r.record_id: r for r in db.records}
         for record, matches in experiment["self_queries"]:
             assert matches, f"{record.path}: empty result"
             top = matches[0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tir.cli import run
+from tir.cli import _CONFIGS, build_parser, run
 from tir.imaging import GrayImage, save_pgm
-from tir.index import Manifest, read_manifest, write_manifest
+from tir.index import ExtractionConfig, Manifest, read_manifest, write_manifest
+from tir.matching import ThresholdConfig
 from tir.shapes import benchmark_shapes
 
 
@@ -49,6 +50,16 @@ def _argv_on_edited_db(indexed, tmp_path, field, token, command):
         return ["query", "--db", str(db), "--image", str(work / "rot" / "kite_rot0.pgm")]
     return ["eval", "--db", str(db), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
             "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["index", "--manifest", "m", "--root", "r", "--out", "o"], ExtractionConfig()),
+    (["query", "--db", "d", "--image", "i"], ThresholdConfig()),
+    (["eval", "--db", "d", "--manifest", "m", "--root", "r", "--mode", "hybrid", "--out", "o"], ThresholdConfig()),
+])
+def test_option_defaults_are_the_library_defaults(argv, want):
+    args = build_parser().parse_args(argv)
+    assert _CONFIGS[args.command](args) == want
 
 
 class TestUsageErrors:
@@ -129,6 +140,13 @@ class TestDataErrors:
                     "--out", str(tmp_path / "db.tsv")])
         assert code == 2
         assert "ghost.pgm" in capsys.readouterr().err
+
+    def test_index_empty_manifest_path_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "m.tsv").write_text("a.pgm\tx\n\tx\n")
+        code = run(["index", "--manifest", str(tmp_path / "m.tsv"), "--root", str(tmp_path),
+                    "--out", str(tmp_path / "db.tsv")])
+        assert code == 2
+        assert f"{tmp_path / 'm.tsv'}: line 2: manifest path must be non-empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["missing.pgm", "blank.pgm"])
     @pytest.mark.parametrize("command", ["index", "eval"])

@@ -142,7 +142,7 @@ class TestEvaluate:
 
         cfg = ThresholdConfig()
         hybrid = evaluate(db, manifest, root, EvalMode.HYBRID, cfg, k=3)
-        by_id = db.by_id()
+        by_id = {r.record_id: r for r in db.records}
         for result in hybrid.per_query:
             image = load_image(root / result.path)
             count, _ = extract_features(image, db.extraction_config.edge, db.extraction_config.corners)
@@ -181,6 +181,19 @@ class TestEvaluate:
         evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=1)  # leave-in is fine
         with pytest.raises(RuntimeError, match="recall is undefined"):
             evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True)
+
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_exclude_self_drops_every_record_of_a_duplicated_path(self, tmp_path, mode):
+        # The database holds tri_wide.pgm twice: both copies leave the
+        # candidates and the relevant set alike, so tri_tall is the one
+        # relevant record left, and it is retrieved.
+        shapes = dict(benchmark_shapes())
+        for name in ("tri_wide", "tri_tall", "kite"):
+            save_pgm(shapes[name], tmp_path / f"{name}.pgm")
+        entries = (("tri_wide.pgm", "a"), ("tri_tall.pgm", "a"), ("tri_wide.pgm", "a"), ("kite.pgm", "b"))
+        db = build_index(Manifest(entries), tmp_path, ExtractionConfig())
+        report = evaluate(db, Manifest(entries[:1]), tmp_path, mode, k=6, exclude_self=True)
+        assert report.mean == PRPoint(0.5, 1.0)
 
     def test_failing_query_names_path(self, small_eval):
         root, _, db = small_eval

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mutation
 import reference
 from tir.imaging import GrayImage, PnmError, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 
@@ -33,6 +34,18 @@ class TestGrayImage:
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+
+
+def _pnm_bytes(spec) -> bytes:
+    """A valid anymap of the given magic and size; its samples come from `raw`."""
+    magic, width, height, raw = spec
+    samples = raw[: width * height * (3 if magic in (b"P3", b"P6") else 1)]
+    header = magic + b"\n# c\n%d %d\n255\n" % (width, height)
+    return header + (samples if magic in (b"P5", b"P6") else b" ".join(b"%d" % v for v in samples))
+
+
+PNM_PIECES = [b"0", b"7", b"255", b"256", b"-1", b"+", b" ", b"\n", b"\r", b"\t", b"#", b"# c\n", b"P5", b"P3", b"x",
+              b"\xff", b"\x00", b"99999999", b"9" * 5000]
 
 
 class TestLoadImage:
@@ -148,6 +161,23 @@ class TestLoadImage:
                 load_image(f)
         else:
             assert load_image(f).pixels.ravel().tolist() == expected
+
+    @given(
+        st.tuples(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]), st.integers(1, 3), st.integers(1, 3), st.binary(
+            min_size=27, max_size=27)).map(_pnm_bytes),
+        mutation.edits(PNM_PIECES),
+    )
+    @example(b"P5\n1 1\n255\n\x00", [(3, 0, b"9" * 5000)])  # more header digits than int() converts
+    @example(b"P5\n1 1\n255\n\x00", [(3, 0, b"9" * 4000), (4005, 0, b"9" * 4000)])  # a size str() cannot print
+    @settings(max_examples=300, deadline=None)
+    def test_any_mutated_anymap_loads_or_fails_as_a_pnm_error(self, tmp_path_factory, data, edits):
+        f = tmp_path_factory.mktemp("pnm") / "a.pnm"
+        f.write_bytes(mutation.mutate(data, edits))
+        try:
+            image = load_image(f)
+        except PnmError:
+            return
+        assert isinstance(image, (GrayImage, RgbImage))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

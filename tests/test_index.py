@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mutation
 import reference
 from tir import index
 from tir.cli import run
@@ -92,9 +93,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="record path"):
             FeatureRecord(0, path, "a", 0, HuVector((0.0,) * 7))
 
+    @pytest.mark.parametrize("text", ["\ud800", "a\udc80.pgm"])
+    def test_lone_surrogates_rejected_naming_the_field(self, text):
+        # UTF-8 cannot hold a lone surrogate, so no manifest or database line could.
+        with pytest.raises(ValueError, match="record path must not contain a lone surrogate"):
+            FeatureRecord(0, text, "a", 0, HuVector((0.0,) * 7))
+        with pytest.raises(ValueError, match="class label must not contain a lone surrogate"):
+            FeatureRecord(0, "a.pgm", text, 0, HuVector((0.0,) * 7))
+        with pytest.raises(ValueError, match="manifest path must not contain a lone surrogate"):
+            Manifest(((text, "x"),))
+        with pytest.raises(ValueError, match="class label must not contain a lone surrogate"):
+            Manifest((("a.pgm", text),))
+
     def test_negative_corner_count_rejected(self):
         with pytest.raises(ValueError):
             FeatureRecord(0, "a.pgm", "a", -1, HuVector((0.0,) * 7))
+
+
+MANIFESTS = [b"a.pgm\tx\n", b"# base\r\na.pgm\tx\r\n\nd/\xc3\xa9 b.pgm\ty\n#end"]
+MANIFEST_PIECES = [b"\t", b"\n", b"\r", b"\r\n", b"#", b" ", b"a", b"\x00", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8",
+                   b"\xff", b"\xc3", b"\xed\xa0\x80"]
 
 
 class TestManifestIO:
@@ -111,6 +129,25 @@ class TestManifestIO:
         (tmp_path / "m.tsv").write_text("a.pgm\tx\nbroken-line\n")
         with pytest.raises(IndexFormatError, match="line 2"):
             read_manifest(tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("line, field", [("\tx", "manifest path"), ("a.pgm\t", "class label")])
+    def test_empty_field_names_its_line(self, tmp_path, line, field):
+        (tmp_path / "m.tsv").write_text(f"b.pgm\ty\n{line}\n")
+        with pytest.raises(IndexFormatError, match=rf"m\.tsv: line 2: {field} must be non-empty$"):
+            read_manifest(tmp_path / "m.tsv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MANIFESTS), mutation.edits(MANIFEST_PIECES))
+    @example(b"a.pgm\tx\n", [(0, 5, b"")])  # an empty path
+    @example(b"a.pgm\tx\n", [(6, 1, b"")])  # an empty label
+    def test_any_mutated_manifest_reads_or_fails_as_a_format_error(self, tmp_path_factory, text, edits):
+        path = tmp_path_factory.mktemp("manifest") / "m.tsv"
+        path.write_bytes(mutation.mutate(text, edits))
+        try:
+            manifest = read_manifest(path)
+        except IndexFormatError:
+            return
+        assert isinstance(manifest, Manifest)
 
     def test_non_utf8_manifest_names_its_line(self, tmp_path):
         (tmp_path / "m.tsv").write_bytes(b"# header\na.pgm\tx\nb\xff.pgm\ty\n")
@@ -154,10 +191,14 @@ class TestManifestIO:
     @example([("0", "\ud800")])
     def test_every_written_manifest_reads_back_equal(self, tmp_path_factory, entries):
         path = tmp_path_factory.mktemp("manifest") / "m.tsv"
-        manifest = Manifest(tuple(entries))
+        try:
+            manifest = Manifest(tuple(entries))
+        except ValueError as exc:  # a lone surrogate, which no UTF-8 file can hold
+            assert "lone surrogate" in str(exc)
+            return
         try:
             write_manifest(manifest, path)
-        except ValueError:  # a skipped line (IndexFormatError) or a lone surrogate (UnicodeEncodeError)
+        except IndexFormatError:  # an entry read_manifest would skip
             assert not path.exists()
             return
         assert read_manifest(path) == manifest
@@ -627,6 +668,6 @@ class TestQuery:
         image = load_image(root / db.records[1].path)
         count, _ = extract_features(image, db.extraction_config.edge, db.extraction_config.corners)
         window = adaptive_threshold(count, cfg)
-        by_id = db.by_id()
+        by_id = {r.record_id: r for r in db.records}
         for match in query(db, image, cfg, k=10):
             assert window.contains(by_id[match.record_id].corner_count)

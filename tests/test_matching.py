@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import reference
 from tir.index import FeatureRecord
 from tir.matching import (
+    FeatureColumns,
     RankedMatch,
     ThresholdConfig,
     ThresholdWindow,
@@ -26,6 +27,10 @@ DEFAULTS = ThresholdConfig()
 def record(record_id: int, count: int = 10, phi=None) -> FeatureRecord:
     phi = phi if phi is not None else tuple(float(record_id + i) for i in range(7))
     return FeatureRecord(record_id, f"img{record_id}.pgm", f"c{record_id}", count, HuVector(phi))
+
+
+def columns(records) -> FeatureColumns:
+    return FeatureColumns.from_records(records)
 
 
 class TestEuclideanDistance:
@@ -53,7 +58,7 @@ class TestEuclideanDistance:
         b = tuple(float.fromhex(h) for h in (
             "-0x1.7a7761bfeb81ep+1", "-0x1.9aba775d63fc8p+2", "-0x1.2ae8951b398bcp+3", "-0x1.4c5585478b9b8p+3",
             "0x1.42b0a2e7a51ebp+4", "0x1.af6180324732dp+3", "0x1.6df8afb8b386ap+4"))
-        ranked = rank_by_moments(HuVector(a), [record(0, phi=b)], 1, log_scale=False)
+        ranked = rank_by_moments(HuVector(a), columns([record(0, phi=b)]), 1, log_scale=False)
         assert euclidean_distance(a, b) == ranked[0].moment_distance == reference.euclidean(a, b)
 
     def test_length_mismatch(self):
@@ -107,47 +112,46 @@ class TestAdaptiveThreshold:
 class TestCornerFilter:
     def test_hand_traced_window(self):
         records = [record(0, 5), record(1, 15), record(2, 16)]
-        kept = corner_filter(10, records, DEFAULTS)
-        assert [r.record_id for r in kept] == [0, 1]
+        kept = corner_filter(10, columns(records), DEFAULTS)
+        assert kept.record_ids.tolist() == [0, 1]
 
     def test_empty_input(self):
-        assert corner_filter(10, [], DEFAULTS) == []
+        assert len(corner_filter(10, columns([]), DEFAULTS)) == 0
 
     def test_zero_difference_always_retained(self):
         records = [record(i, 7) for i in range(4)]
-        assert corner_filter(7, records, DEFAULTS) == records
+        assert corner_filter(7, columns(records), DEFAULTS).record_ids.tolist() == [0, 1, 2, 3]
 
     @given(query=st.integers(0, 200), counts=st.lists(st.integers(0, 200), max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_subsequence_and_window_predicate(self, query, counts):
         records = [record(i, c) for i, c in enumerate(counts)]
-        kept = corner_filter(query, records, DEFAULTS)
-        ids = [r.record_id for r in kept]
+        ids = corner_filter(query, columns(records), DEFAULTS).record_ids.tolist()
         assert ids == sorted(ids)  # order preserved
         window = adaptive_threshold(query, DEFAULTS)
         threshold = window.max_t - query
         for r in records:
             inside = abs(r.corner_count - query) <= threshold
-            assert (r in kept) == inside
+            assert (r.record_id in ids) == inside
 
 
 class TestRankByMoments:
     def test_identical_candidate_ranks_first_with_zero_distance(self):
         query = HuVector((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
         records = [record(0, phi=(1.0,) * 7), record(1, phi=query.phi)]
-        ranked = rank_by_moments(query, records, 2)
+        ranked = rank_by_moments(query, columns(records), 2)
         assert ranked[0].record_id == 1
         assert ranked[0].moment_distance == 0.0
 
     def test_singleton(self):
         records = [record(5)]
-        ranked = rank_by_moments(HuVector((0.0,) * 7), records, 3)
+        ranked = rank_by_moments(HuVector((0.0,) * 7), columns(records), 3)
         assert [m.record_id for m in ranked] == [5]
 
     def test_matches_exhaustive_sort_oracle(self, rng):
         query = HuVector(tuple(rng.normal(size=7)))
         records = [record(i, phi=tuple(rng.normal(size=7))) for i in range(5)]
-        ranked = rank_by_moments(query, records, 5)
+        ranked = rank_by_moments(query, columns(records), 5)
         expected = sorted(
             records,
             key=lambda r: (reference.euclidean(log_magnitude(query), log_magnitude(r.hu)), r.record_id),
@@ -157,39 +161,39 @@ class TestRankByMoments:
     def test_ties_break_on_record_id(self):
         phi = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01)
         records = [record(3, phi=phi), record(1, phi=phi), record(2, phi=phi)]
-        ranked = rank_by_moments(HuVector(phi), records, 3)
+        ranked = rank_by_moments(HuVector(phi), columns(records), 3)
         assert [m.record_id for m in ranked] == [1, 2, 3]
 
     def test_result_ordering_independent_of_input_order(self, rng):
         query = HuVector(tuple(rng.normal(size=7)))
         records = [record(i, phi=tuple(rng.normal(size=7))) for i in range(8)]
-        baseline = rank_by_moments(query, records, 4)
+        baseline = rank_by_moments(query, columns(records), 4)
         for permutation in itertools.islice(itertools.permutations(records), 0, 24, 5):
-            assert rank_by_moments(query, list(permutation), 4) == baseline
+            assert rank_by_moments(query, columns(permutation), 4) == baseline
 
     def test_distances_ascend_and_cap_at_k(self, rng):
         query = HuVector(tuple(rng.normal(size=7)))
         records = [record(i, phi=tuple(rng.normal(size=7))) for i in range(9)]
-        ranked = rank_by_moments(query, records, 4)
+        ranked = rank_by_moments(query, columns(records), 4)
         assert len(ranked) == 4
         distances = [m.moment_distance for m in ranked]
         assert distances == sorted(distances)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            rank_by_moments(HuVector((0.0,) * 7), [], 0)
+            rank_by_moments(HuVector((0.0,) * 7), columns([]), 0)
 
     def test_corner_difference_reported_when_query_count_given(self):
         records = [record(0, count=14)]
-        ranked = rank_by_moments(HuVector((0.0,) * 7), records, 1, query_corner_count=10)
+        ranked = rank_by_moments(HuVector((0.0,) * 7), columns(records), 1, query_corner_count=10)
         assert ranked[0].corner_difference == 4
 
     def test_raw_distance_switch(self):
         query = HuVector((0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         candidate = record(0, phi=(0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-        raw = rank_by_moments(query, [candidate], 1, log_scale=False)[0].moment_distance
+        raw = rank_by_moments(query, columns([candidate]), 1, log_scale=False)[0].moment_distance
         assert raw == 0.25
-        logd = rank_by_moments(query, [candidate], 1)[0].moment_distance
+        logd = rank_by_moments(query, columns([candidate]), 1)[0].moment_distance
         assert abs(logd - euclidean_distance(log_magnitude(query), log_magnitude(candidate.hu))) < 1e-15
 
 
@@ -210,12 +214,14 @@ class TestLogMagnitude:
     ))
     @settings(max_examples=300, deadline=None)
     def test_array_form_has_the_bits_of_log_magnitude(self, values):
-        want = np.array(log_magnitude(values), dtype=np.float64)
+        want = np.array(reference.log_magnitude(values), dtype=np.float64)
         got = log_magnitude_array(np.array(values, dtype=np.float64))
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert log_magnitude(values) == tuple(want.tolist())
         rows = np.array(values + [0.0] * (-len(values) % 7), dtype=np.float64).reshape(-1, 7)
         got = log_magnitude_array(rows)
-        assert got.shape == rows.shape and got.tobytes() == bytes(np.array(log_magnitude(rows.ravel().tolist())))
+        want = bytes(np.array(reference.log_magnitude(rows.ravel().tolist())))
+        assert got.shape == rows.shape and got.tobytes() == want
 
 
 class TestRankedMatch:
