@@ -3,7 +3,15 @@
 Subcommands: `index` (offline feature extraction), `query` (online retrieval),
 `eval` (precision/recall harness) and `gen-rotations` (rotated test-set
 generation). Results go to stdout or the named output files; diagnostics go
-to stderr. Exit codes: 0 success, 1 usage error, 2 data or processing error.
+to stderr.
+
+Each subparser carries its handler and the function that makes its
+settings. A detector or window option's `dest` is the name of the config
+field it sets, so one helper builds `ExtractionConfig` or `ThresholdConfig`
+from the parsed options. Exit codes: 0 success; 1 usage error, including an option value the
+settings reject; 2 data or processing error, that is any `ValueError`,
+`RuntimeError` or `OSError` a command raises (every error tir lets reach a
+caller derives from one of them).
 """
 
 from __future__ import annotations
@@ -11,24 +19,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
+from dataclasses import fields, is_dataclass
+from functools import partial
 
 from .corners import CornerConfig
 from .edge import EdgeConfig
-from .evaluation import EvalMode, MetricUndefinedError, emit_pr_csv, evaluate, generate_rotated_dataset
-from .imaging import PnmError, load_image
-from .index import (
-    ExtractionConfig,
-    IndexBuildError,
-    IndexFormatError,
-    build_index,
-    load_index,
-    query,
-    read_manifest,
-    write_manifest,
-)
+from .evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
+from .imaging import load_image
+from .index import ExtractionConfig, build_index, load_index, query, read_manifest, write_manifest
 from .matching import ThresholdConfig
-from .moments import DegenerateImageError
 from .parallel import usable_cpus
 
 _MODES = {"hybrid": EvalMode.HYBRID, "corner": EvalMode.CORNER_ONLY, "moments": EvalMode.MOMENTS_ONLY}
@@ -57,11 +56,20 @@ def _angle_list(text: str) -> list[float]:
     return angles
 
 
+def _settings(cls, args):
+    """`cls` built from the options named after its fields; a nested config field is built the same way."""
+    return cls(**{
+        f.name: _settings(type(f.default), args) if is_dataclass(f.default) else getattr(args, f.name)
+        for f in fields(cls)
+    })
+
+
 def _add_window_options(parser: argparse.ArgumentParser) -> None:
-    """The adaptive-window options that `query` and `eval` share."""
+    """The adaptive-window options that `query` and `eval` share, and the `ThresholdConfig` they build."""
     parser.add_argument("--band-width", type=int, default=ThresholdConfig.band_width, metavar="R")
     parser.add_argument("--base-threshold", type=float, default=ThresholdConfig.base_threshold, metavar="T0")
     parser.add_argument("--multiplier", type=float, default=ThresholdConfig.multiplier, metavar="M")
+    parser.set_defaults(settings=partial(_settings, ThresholdConfig))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,18 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_index = sub.add_parser("index", help="extract features for a dataset and write the database")
+    p_index.set_defaults(handler=_cmd_index, settings=partial(_settings, ExtractionConfig))
     p_index.add_argument("--manifest", required=True, help="dataset manifest (path<TAB>class per line)")
     p_index.add_argument("--root", required=True, help="directory manifest paths are relative to")
     p_index.add_argument("--out", required=True, help="feature database output path")
-    p_index.add_argument("--edge-threshold", type=int, default=EdgeConfig.threshold, metavar="T")
-    p_index.add_argument("--harris-kappa", type=float, default=CornerConfig.kappa, metavar="K")
-    p_index.add_argument("--harris-sigma", type=float, default=CornerConfig.window_sigma, metavar="S")
-    p_index.add_argument("--harris-window", type=int, default=CornerConfig.window_radius, metavar="R")
-    p_index.add_argument("--peak-threshold", type=float, default=CornerConfig.peak_rel_threshold, metavar="F")
+    p_index.add_argument("--edge-threshold", dest="threshold", type=int, default=EdgeConfig.threshold, metavar="T")
+    p_index.add_argument("--harris-kappa", dest="kappa", type=float, default=CornerConfig.kappa, metavar="K")
+    p_index.add_argument("--harris-sigma", dest="window_sigma", type=float, default=CornerConfig.window_sigma,
+                         metavar="S")
+    p_index.add_argument("--harris-window", dest="window_radius", type=int, default=CornerConfig.window_radius,
+                         metavar="R")
+    p_index.add_argument("--peak-threshold", dest="peak_rel_threshold", type=float,
+                         default=CornerConfig.peak_rel_threshold, metavar="F")
     p_index.add_argument("--nms-radius", type=int, default=CornerConfig.nms_radius, metavar="R")
     p_index.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_query = sub.add_parser("query", help="rank database images against one query image")
+    p_query.set_defaults(handler=_cmd_query)
     p_query.add_argument("--db", required=True, help="feature database path")
     p_query.add_argument("--image", required=True, help="query image (P2/P3/P5/P6)")
     p_query.add_argument("--top", type=_positive_int, default=10, metavar="K")
@@ -89,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rank on raw invariants instead of log-scaled ones")
 
     p_eval = sub.add_parser("eval", help="precision/recall evaluation over a query manifest")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("--db", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--root", required=True)
@@ -101,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_gen = sub.add_parser("gen-rotations", help="write rotated copies of every manifest image")
+    p_gen.set_defaults(handler=_cmd_gen_rotations, settings=lambda args: None)
     p_gen.add_argument("--manifest", required=True)
     p_gen.add_argument("--root", required=True)
     p_gen.add_argument("--angles", type=_angle_list, default=[0.0, 60.0, 120.0, 180.0, 240.0, 300.0],
@@ -110,58 +125,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extraction_config(args) -> ExtractionConfig:
-    return ExtractionConfig(
-        edge=EdgeConfig(threshold=args.edge_threshold),
-        corners=CornerConfig(
-            kappa=args.harris_kappa,
-            window_sigma=args.harris_sigma,
-            window_radius=args.harris_window,
-            peak_rel_threshold=args.peak_threshold,
-            nms_radius=args.nms_radius,
-        ),
-    )
-
-
-def _threshold_config(args) -> ThresholdConfig:
-    return ThresholdConfig(
-        band_width=args.band_width,
-        base_threshold=args.base_threshold,
-        multiplier=args.multiplier,
-    )
-
-
-def _cmd_index(args) -> int:
+def _cmd_index(args, config: ExtractionConfig) -> int:
     manifest = read_manifest(args.manifest)
-    db = build_index(manifest, args.root, args.config, out=args.out, jobs=args.jobs)
+    db = build_index(manifest, args.root, config, out=args.out, jobs=args.jobs)
     print(f"indexed {len(db.paths)} records -> {args.out}", file=sys.stderr)
     return 0
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args, config: ThresholdConfig) -> int:
     db = load_index(args.db)
     image = load_image(args.image)
-    matches = query(db, image, args.config, k=args.top,
-                    log_scale=not args.raw_moment_distance)
+    matches = query(db, image, config, k=args.top, log_scale=not args.raw_moment_distance)
     for rank, match in enumerate(matches, start=1):
         row = db.row(match.record_id)
         print(f"{rank}\t{db.paths[row]}\t{db.labels[row]}\t{match.corner_difference}\t{match.moment_distance:.6g}")
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, config: ThresholdConfig) -> int:
     db = load_index(args.db)
     manifest = read_manifest(args.manifest)
-    report = evaluate(
-        db,
-        manifest,
-        args.root,
-        _MODES[args.mode],
-        args.config,
-        k=args.top,
-        exclude_self=args.exclude_self,
-        jobs=args.jobs,
-    )
+    # The mode stays evaluate's fourth positional argument: perfbench names its spans by it.
+    report = evaluate(db, manifest, args.root, _MODES[args.mode], config, k=args.top,
+                      exclude_self=args.exclude_self, jobs=args.jobs)
     emit_pr_csv(report, args.out)
     print(
         f"mode={report.mode.value} queries={len(report.per_query)} "
@@ -171,7 +157,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_gen_rotations(args) -> int:
+def _cmd_gen_rotations(args, config: None) -> int:
     base = read_manifest(args.manifest)
     rotated = generate_rotated_dataset(base, args.root, args.angles, args.out_dir)
     write_manifest(rotated, args.out_manifest)
@@ -179,36 +165,16 @@ def _cmd_gen_rotations(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "index": _cmd_index,
-    "query": _cmd_query,
-    "eval": _cmd_eval,
-    "gen-rotations": _cmd_gen_rotations,
-}
-
-# The settings object each command builds from its options.
-_CONFIGS = {"index": _extraction_config, "query": _threshold_config, "eval": _threshold_config}
-
-
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:  # an option value the settings reject is a usage error
-        args.config = _CONFIGS[args.command](args) if args.command in _CONFIGS else None
+        config = args.settings(args)
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
     try:
-        return _COMMANDS[args.command](args)
-    except (
-        PnmError,
-        IndexFormatError,
-        IndexBuildError,
-        DegenerateImageError,
-        MetricUndefinedError,
-        RuntimeError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return args.handler(args, config)
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"tir {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

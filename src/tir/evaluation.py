@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
+from .imaging import RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest, _image_features
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import FeatureColumns, ThresholdConfig, corner_filter, rank_by_moments
@@ -151,10 +151,10 @@ def evaluate(
 ) -> EvalReport:
     """Evaluate every manifest query against the database in one mode.
 
-    With `exclude_self` the query's own record (same path) is dropped from
-    both the candidate pool and the relevant set. Query images are loaded
-    and their features extracted on up to `jobs` worker processes; ranking
-    and scoring run here. Any failing query aborts the evaluation with its
+    With `exclude_self` every record whose path is the query's exact path
+    string is dropped from both the candidate pool and the relevant set.
+    Query images are loaded and their features extracted on up to `jobs`
+    worker processes; ranking and scoring run here. Any failing query aborts the evaluation with its
     path named, the first in manifest order if several fail.
     """
     root = Path(root)
@@ -164,7 +164,8 @@ def evaluate(
     by_class: dict[str, set[int]] = {}
     for record_id, label in zip(ids, db.labels):
         by_class.setdefault(label, set()).add(record_id)
-    paths = np.array(db.paths, dtype=str)
+    # Python strings compare exactly; a numpy str array would drop trailing NULs.
+    paths = np.array(db.paths, dtype=object) if exclude_self else None
 
     query_paths = [rel_path for rel_path, _ in query_manifest.entries]
     try:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tir.cli import _CONFIGS, build_parser, run
+from tir.cli import build_parser, run
 from tir.imaging import GrayImage, save_pgm
 from tir.index import ExtractionConfig, Manifest, read_manifest, write_manifest
 from tir.matching import ThresholdConfig
@@ -59,7 +61,38 @@ def _argv_on_edited_db(indexed, tmp_path, field, token, command):
 ])
 def test_option_defaults_are_the_library_defaults(argv, want):
     args = build_parser().parse_args(argv)
-    assert _CONFIGS[args.command](args) == want
+    assert args.settings(args) == want
+
+
+_REQUIRED = {
+    "index": ["--manifest", "m", "--root", "r", "--out", "o"],
+    "query": ["--db", "d", "--image", "i"],
+    "eval": ["--db", "d", "--manifest", "m", "--root", "r", "--mode", "hybrid", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command, option, text, part, field, value", [
+    ("index", "--edge-threshold", "40", "edge", "threshold", 40),
+    ("index", "--harris-kappa", "0.05", "corners", "kappa", 0.05),
+    ("index", "--harris-sigma", "2.5", "corners", "window_sigma", 2.5),
+    ("index", "--harris-window", "3", "corners", "window_radius", 3),
+    ("index", "--peak-threshold", "0.2", "corners", "peak_rel_threshold", 0.2),
+    ("index", "--nms-radius", "4", "corners", "nms_radius", 4),
+    *[(command, option, text, None, field, value)
+      for command in ("query", "eval")
+      for option, text, field, value in [("--band-width", "7", "band_width", 7),
+                                         ("--base-threshold", "3.5", "base_threshold", 3.5),
+                                         ("--multiplier", "2.5", "multiplier", 2.5)]],
+])
+def test_each_option_reaches_its_field(command, option, text, part, field, value):
+    args = build_parser().parse_args([command, *_REQUIRED[command], option, text])
+    default = ExtractionConfig() if command == "index" else ThresholdConfig()
+    if part is None:
+        want = replace(default, **{field: value})
+    else:
+        want = replace(default, **{part: replace(getattr(default, part), **{field: value})})
+    assert want != default
+    assert args.settings(args) == want
 
 
 class TestUsageErrors:

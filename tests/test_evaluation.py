@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -193,6 +194,21 @@ class TestEvaluate:
         entries = (("tri_wide.pgm", "a"), ("tri_tall.pgm", "a"), ("tri_wide.pgm", "a"), ("kite.pgm", "b"))
         db = build_index(Manifest(entries), tmp_path, ExtractionConfig())
         report = evaluate(db, Manifest(entries[:1]), tmp_path, mode, k=6, exclude_self=True)
+        assert report.mean == PRPoint(0.5, 1.0)
+
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_exclude_self_compares_exact_path_strings(self, tmp_path, mode):
+        # 'tri_wide.pgm\x00' is another path: it stays a candidate and stays
+        # relevant, though a numpy str array would compare it equal.
+        shapes = dict(benchmark_shapes())
+        for name in ("tri_wide", "kite"):
+            save_pgm(shapes[name], tmp_path / f"{name}.pgm")
+        entries = (("tri_wide.pgm", "a"), ("tri_wide.pgm", "a"), ("kite.pgm", "b"))
+        built = build_index(Manifest(entries), tmp_path, ExtractionConfig())
+        records = list(built.records)
+        records[1] = dataclasses.replace(records[1], path="tri_wide.pgm\x00")
+        db = FeatureDatabase(records, built.extraction_config)
+        report = evaluate(db, Manifest(entries[:1]), tmp_path, mode, k=2, exclude_self=True)
         assert report.mean == PRPoint(0.5, 1.0)
 
     def test_failing_query_names_path(self, small_eval):
