@@ -67,8 +67,8 @@ def main() -> int:
     threshold_cfg = ThresholdConfig()
     rows = []
     for mode in (EvalMode.CORNER_ONLY, EvalMode.MOMENTS_ONLY, EvalMode.HYBRID):
-        report = evaluate(db, rotated, out / "dataset", mode, threshold_cfg, k=args.k,
-                          exclude_self=args.exclude_self, jobs=args.jobs)
+        # The query manifest is the index manifest, so the database is its own query set.
+        report = evaluate(db, db, mode, threshold_cfg, k=args.k, exclude_self=args.exclude_self)
         emit_pr_csv(report, out / f"pr_{mode.value}.csv")
         combined = (report.mean.precision + report.mean.recall) / 2.0
         rows.append((mode.value, report.mean.precision, report.mean.recall, combined))

@@ -43,14 +43,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _angle_list(text: str) -> list[float]:
-    angles = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    try:
+        angles = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        angles = []
     if not angles or not all(map(math.isfinite, angles)):
         raise argparse.ArgumentTypeError("expected a comma-separated list of finite angles in degrees")
     return angles
@@ -145,9 +151,10 @@ def _cmd_query(args, config: ThresholdConfig) -> int:
 def _cmd_eval(args, config: ThresholdConfig) -> int:
     db = load_index(args.db)
     manifest = read_manifest(args.manifest)
-    # The mode stays evaluate's fourth positional argument: perfbench names its spans by it.
-    report = evaluate(db, manifest, args.root, _MODES[args.mode], config, k=args.top,
-                      exclude_self=args.exclude_self, jobs=args.jobs)
+    queries = build_index(manifest, args.root, db.extraction_config, jobs=args.jobs)
+    # The mode goes by keyword: perfbench/tracing.py names the eval span from args[3] or kwargs["mode"].
+    report = evaluate(db, queries, mode=_MODES[args.mode], threshold_cfg=config, k=args.top,
+                      exclude_self=args.exclude_self)
     emit_pr_csv(report, args.out)
     print(
         f"mode={report.mode.value} queries={len(report.per_query)} "

@@ -1,26 +1,28 @@
 """Precision/recall computation, rotated-dataset generation and the
 three-mode evaluation harness (corner-only, moments-only, hybrid).
 
-Per query, the relevant set is every database record sharing the query's
-class label; under the default leave-in protocol that includes the query's
-own record (matched by path). Results are reported per query plus an
-unweighted arithmetic mean.
+Evaluation scores query features that `build_index` or `load_index` made,
+and extracts nothing. Per query, the relevant set is every database record
+sharing the query's class label; under the default leave-in protocol that
+includes the query's own record (matched by path). Results are reported per
+query plus an unweighted arithmetic mean.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .imaging import RgbImage, load_image, rgb_to_gray, rotate, save_pgm
-from .index import FeatureDatabase, Manifest, _image_features
+from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import FeatureColumns, ThresholdConfig, corner_filter, rank_by_moments
-from .parallel import ItemError, map_ordered
+from .moments import HuVector
+from .parallel import map_ordered  # noqa: F401  not called here; kept for perfbench/tracing.py
 
 
 class MetricUndefinedError(ValueError):
@@ -140,42 +142,32 @@ def _retrieved_ids(
 
 def evaluate(
     db: FeatureDatabase,
-    query_manifest: Manifest,
-    root,
+    queries: FeatureDatabase,
     mode: EvalMode,
     threshold_cfg: ThresholdConfig = ThresholdConfig(),
     k: int = 6,
     *,
     exclude_self: bool = False,
-    jobs: int = 1,
 ) -> EvalReport:
-    """Evaluate every manifest query against the database in one mode.
+    """Evaluate each record of `queries`, extracted under the database's config, against the database in one mode.
 
     With `exclude_self` every record whose path is the query's exact path
     string is dropped from both the candidate pool and the relevant set.
-    Query images are loaded and their features extracted on up to `jobs`
-    worker processes; ranking and scoring run here. Any failing query aborts the evaluation with its
-    path named, the first in manifest order if several fail.
+    Any failing query aborts the evaluation with its path named, the first
+    in query order if several fail.
     """
-    root = Path(root)
-    cfg = db.extraction_config
+    if queries.extraction_config != db.extraction_config:
+        raise ValueError("query features were extracted under a different config than the database's")
     columns = db.columns
-    ids = columns.record_ids.tolist()
     by_class: dict[str, set[int]] = {}
-    for record_id, label in zip(ids, db.labels):
+    for record_id, label in zip(columns.record_ids.tolist(), db.labels):
         by_class.setdefault(label, set()).add(record_id)
     # Python strings compare exactly; a numpy str array would drop trailing NULs.
     paths = np.array(db.paths, dtype=object) if exclude_self else None
 
-    query_paths = [rel_path for rel_path, _ in query_manifest.entries]
-    try:
-        features, failed = map_ordered(partial(_image_features, root, cfg), query_paths, jobs), None
-    except ItemError as err:
-        # Rank the queries before the failing one first: the first query to
-        # fail in manifest order, at either step, is the one reported.
-        features, failed = err.results, err
     results = []
-    for (rel_path, label), (count, hu) in zip(query_manifest.entries, features):
+    for rel_path, label, count, phi in zip(queries.paths, queries.labels,
+                                           queries.columns.corner_counts.tolist(), queries.columns.hu.tolist()):
         try:
             relevant = by_class.get(label, set())
             candidates = columns
@@ -183,13 +175,11 @@ def evaluate(
                 own = paths == rel_path
                 candidates = columns.select(~own)
                 relevant = relevant - set(columns.record_ids[own].tolist())
-            retrieved = _retrieved_ids(candidates, count, hu, mode, threshold_cfg, k)
+            retrieved = _retrieved_ids(candidates, count, HuVector(phi), mode, threshold_cfg, k)
             point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
         except Exception as exc:
             raise RuntimeError(f"query {rel_path!r}: {exc}") from exc
         results.append(QueryResult(rel_path, label, point))
-    if failed is not None:
-        raise RuntimeError(f"query {query_paths[failed.index]!r}: {failed.__cause__}") from failed.__cause__
     mean_p = sum(r.point.precision for r in results) / len(results)
     mean_r = sum(r.point.recall for r in results) / len(results)
     return EvalReport(mode, tuple(results), PRPoint(mean_p, mean_r))
@@ -199,15 +189,17 @@ def emit_pr_csv(report: EvalReport, path) -> None:
     """Write per-query precision/recall rows plus a final MEAN row.
 
     Header `query_path,class,mode,precision,recall`; reals carry 6 decimal
-    places; LF line endings. Reruns on identical results are byte-identical.
+    places; LF line endings. A field holding a comma or a quote is quoted,
+    so every row reads back through `csv.reader` as five fields. Reruns on
+    identical results are byte-identical.
     """
     if not report.per_query:
         raise ValueError("cannot emit an empty evaluation report")
-    lines = ["query_path,class,mode,precision,recall"]
-    for result in report.per_query:
-        lines.append(
-            f"{result.path},{result.class_label},{report.mode.value},"
-            f"{result.point.precision:.6f},{result.point.recall:.6f}"
-        )
-    lines.append(f"MEAN,,{report.mode.value},{report.mean.precision:.6f},{report.mean.recall:.6f}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    mode = report.mode.value
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["query_path", "class", "mode", "precision", "recall"])
+        for result in report.per_query:
+            writer.writerow([result.path, result.class_label, mode,
+                             f"{result.point.precision:.6f}", f"{result.point.recall:.6f}"])
+        writer.writerow(["MEAN", "", mode, f"{report.mean.precision:.6f}", f"{report.mean.recall:.6f}"])

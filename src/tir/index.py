@@ -255,8 +255,8 @@ def _gray_features(image: GrayImage | RgbImage, config: ExtractionConfig) -> tup
 def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[int, HuVector]:
     """Load `root / rel_path` and extract its features, in gray.
 
-    The one per-image step of indexing and evaluation, and the work that
-    map_ordered hands to its workers.
+    The per-image step of `build_index`, the only place tir extracts from
+    image files, and the work that map_ordered hands to its workers.
     """
     return _gray_features(load_image(root / rel_path), config)
 

@@ -90,11 +90,14 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) -> ThresholdWindow:
-    """Window for a query corner count; min_t is clamped at 0."""
+    """Window for a query corner count; min_t is clamped at 0, and a threshold past the largest float is infinite."""
     if count < 0:
         raise ValueError(f"corner count must be >= 0, got {count}")
     band = count // config.band_width
-    threshold = config.base_threshold * config.multiplier**band
+    try:
+        threshold = config.base_threshold * config.multiplier**band
+    except OverflowError:
+        return ThresholdWindow(0.0, math.inf)
     return ThresholdWindow(max(0.0, count - threshold), count + threshold)
 
 

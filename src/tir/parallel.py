@@ -23,16 +23,11 @@ R = TypeVar("R")
 
 
 class ItemError(Exception):
-    """`fn` raised on the item at `index`.
+    """`fn` raised on the item at `index`; the exception it raised is the `__cause__`."""
 
-    The exception it raised is the `__cause__`; `results` holds the results
-    of the items before it, in order.
-    """
-
-    def __init__(self, index: int, results: list):
+    def __init__(self, index: int):
         super().__init__(f"item {index} failed")
         self.index = index
-        self.results = results
 
 
 def usable_cpus() -> int:
@@ -54,7 +49,7 @@ def _collect(outcomes) -> list:
     results = []
     for ok, value in outcomes:
         if not ok:
-            raise ItemError(len(results), results) from value
+            raise ItemError(len(results)) from value
         results.append(value)
     return results
 

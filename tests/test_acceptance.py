@@ -56,7 +56,7 @@ def experiment(tmp_path_factory):
     rotated = generate_rotated_dataset(base, root, ANGLES, root / "rot")
     db = build_index(rotated, root / "rot", ExtractionConfig(), out=root / "db.tsv")
     reports = {
-        mode: evaluate(db, rotated, root / "rot", mode, ThresholdConfig(), k=6)
+        mode: evaluate(db, db, mode, ThresholdConfig(), k=6)
         for mode in (EvalMode.HYBRID, EvalMode.CORNER_ONLY, EvalMode.MOMENTS_ONLY)
     }
     self_query_top = []

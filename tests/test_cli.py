@@ -119,6 +119,16 @@ class TestUsageErrors:
             run(["gen-rotations", "--manifest", "m", "--root", "r", "--angles", "abc",
                  "--out-dir", "d", "--out-manifest", "o"])
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --angles: expected a comma-separated list" in err and "_angle_list" not in err
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_non_integer_top_names_the_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *_REQUIRED[command], "--top", "x"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --top: expected an integer >= 1, got 'x'" in err and "_positive_int" not in err
 
     @pytest.mark.parametrize("angles", ["nan", "0,inf"])
     def test_non_finite_angle_exits_1(self, capsys, angles):
@@ -200,8 +210,7 @@ class TestDataErrors:
         assert results[0] == results[1]
         code, err = results[0]
         assert code == 2
-        entry = "manifest entry" if command == "index" else "query"
-        assert err.startswith(f"tir {command}: error: {entry} {bad!r}: ")
+        assert err.startswith(f"tir {command}: error: manifest entry {bad!r}: ")
         assert not (tmp_path / "db.tsv").exists() and not (tmp_path / "pr.csv").exists()
 
     def test_index_multi_token_label_exits_2_before_extraction(self, base_dataset, tmp_path, capsys, monkeypatch):
@@ -215,6 +224,18 @@ class TestDataErrors:
         assert "manifest entry 'a.pgm': class label must be a single token: 'foo bar'" in capsys.readouterr().err
         assert loaded == []
         assert not (tmp_path / "db.tsv").exists()
+
+    def test_eval_multi_token_label_exits_2_before_extraction(self, indexed, tmp_path, capsys, monkeypatch):
+        root, work = indexed
+        loaded = []
+        monkeypatch.setattr("tir.index.load_image", lambda path: loaded.append(path))
+        (tmp_path / "m.tsv").write_text("kite_rot0.pgm\tkite\nkite_rot60.pgm\tfoo bar\n")
+        code = run(["eval", "--db", str(work / "db.tsv"), "--manifest", str(tmp_path / "m.tsv"),
+                    "--root", str(work / "rot"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")])
+        assert code == 2
+        assert "manifest entry 'kite_rot60.pgm': class label must be a single token: 'foo bar'" in capsys.readouterr().err
+        assert loaded == []
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_query_bad_database_version_exits_2(self, tmp_path, base_dataset, capsys):
         (tmp_path / "db.tsv").write_text("TIRDB\t9\n")

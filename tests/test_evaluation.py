@@ -1,5 +1,5 @@
+import csv
 import dataclasses
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from tir.evaluation import (
     precision,
     recall,
 )
-from tir.imaging import GrayImage, load_image, save_pgm
+from tir.edge import EdgeConfig
+from tir.imaging import load_image, save_pgm
 from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
@@ -126,14 +127,14 @@ class TestGenerateRotatedDataset:
 class TestEvaluate:
     def test_hybrid_retrieval_stays_inside_corner_window(self, small_eval):
         root, manifest, db = small_eval
-        report = evaluate(db, manifest, root, EvalMode.HYBRID, k=2)
+        report = evaluate(db, db, EvalMode.HYBRID, k=2)
         assert len(report.per_query) == len(manifest.entries)
         # Every query of an indexed image retrieves itself, so recall > 0.
         assert all(r.point.recall > 0 for r in report.per_query)
 
     def test_self_retrieval_recall_bound(self, small_eval):
         root, manifest, db = small_eval
-        report = evaluate(db, manifest, root, EvalMode.HYBRID, k=6)
+        report = evaluate(db, db, EvalMode.HYBRID, k=6)
         class_size = 2
         assert all(r.point.recall >= 1.0 / class_size for r in report.per_query)
 
@@ -142,7 +143,7 @@ class TestEvaluate:
         from tir.index import extract_features
 
         cfg = ThresholdConfig()
-        hybrid = evaluate(db, manifest, root, EvalMode.HYBRID, cfg, k=3)
+        hybrid = evaluate(db, db, EvalMode.HYBRID, cfg, k=3)
         by_id = {r.record_id: r for r in db.records}
         for result in hybrid.per_query:
             image = load_image(root / result.path)
@@ -156,7 +157,7 @@ class TestEvaluate:
 
     def test_means_are_arithmetic(self, small_eval):
         root, manifest, db = small_eval
-        report = evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=2)
+        report = evaluate(db, db, EvalMode.MOMENTS_ONLY, k=2)
         assert report.mean.precision == pytest.approx(
             sum(r.point.precision for r in report.per_query) / len(report.per_query)
         )
@@ -166,7 +167,7 @@ class TestEvaluate:
 
     def test_leave_in_retrieves_self_first(self, small_eval):
         root, manifest, db = small_eval
-        left_in = evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=1)
+        left_in = evaluate(db, db, EvalMode.MOMENTS_ONLY, k=1)
         assert all(r.point.precision == 1.0 for r in left_in.per_query)
 
     def test_exclude_self_drops_record_from_relevant_set(self, tmp_path):
@@ -179,9 +180,9 @@ class TestEvaluate:
             entries.append((f"{name}.pgm", name))
         manifest = Manifest(tuple(entries))
         db = build_index(manifest, root, ExtractionConfig(), out=root / "db.tsv")
-        evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=1)  # leave-in is fine
+        evaluate(db, db, EvalMode.MOMENTS_ONLY, k=1)  # leave-in is fine
         with pytest.raises(RuntimeError, match="recall is undefined"):
-            evaluate(db, manifest, root, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True)
+            evaluate(db, db, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True)
 
     @pytest.mark.parametrize("mode", list(EvalMode))
     def test_exclude_self_drops_every_record_of_a_duplicated_path(self, tmp_path, mode):
@@ -193,7 +194,8 @@ class TestEvaluate:
             save_pgm(shapes[name], tmp_path / f"{name}.pgm")
         entries = (("tri_wide.pgm", "a"), ("tri_tall.pgm", "a"), ("tri_wide.pgm", "a"), ("kite.pgm", "b"))
         db = build_index(Manifest(entries), tmp_path, ExtractionConfig())
-        report = evaluate(db, Manifest(entries[:1]), tmp_path, mode, k=6, exclude_self=True)
+        queries = build_index(Manifest(entries[:1]), tmp_path, db.extraction_config)
+        report = evaluate(db, queries, mode, k=6, exclude_self=True)
         assert report.mean == PRPoint(0.5, 1.0)
 
     @pytest.mark.parametrize("mode", list(EvalMode))
@@ -208,60 +210,39 @@ class TestEvaluate:
         records = list(built.records)
         records[1] = dataclasses.replace(records[1], path="tri_wide.pgm\x00")
         db = FeatureDatabase(records, built.extraction_config)
-        report = evaluate(db, Manifest(entries[:1]), tmp_path, mode, k=2, exclude_self=True)
+        queries = build_index(Manifest(entries[:1]), tmp_path, db.extraction_config)
+        report = evaluate(db, queries, mode, k=2, exclude_self=True)
         assert report.mean == PRPoint(0.5, 1.0)
 
     def test_failing_query_names_path(self, small_eval):
         root, _, db = small_eval
         bad = Manifest((("absent.pgm", "x"),))
         with pytest.raises(RuntimeError, match="absent.pgm"):
-            evaluate(db, bad, root, EvalMode.HYBRID, k=2)
-
-    @pytest.mark.parametrize("bad", ["missing.pgm", "blank.pgm"])
-    def test_two_jobs_fail_like_one(self, small_eval, tmp_path, bad):
-        # The bad query sits between good ones, so two workers both get work.
-        root, manifest, db = small_eval
-        save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), tmp_path / "blank.pgm")
-        entries = [(str(root / p), c) for p, c in manifest.entries[:4]]
-        queries = Manifest((*entries[:2], (bad, "x"), *entries[2:]))
-        failures = []
-        for jobs in (1, 2):
-            with pytest.raises(RuntimeError) as failed:
-                evaluate(db, queries, tmp_path, EvalMode.HYBRID, k=3, jobs=jobs)
-            failures.append((type(failed.value), type(failed.value.__cause__), str(failed.value)))
-            assert multiprocessing.active_children() == []
-        assert failures[0] == failures[1]
-        assert failures[0][0] is RuntimeError
-        assert failures[0][2].startswith(f"query {bad!r}: ")
+            evaluate(db, build_index(bad, root, db.extraction_config), EvalMode.HYBRID, k=2)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_earlier_ranking_failure_beats_later_extraction_failure(self, tmp_path, jobs):
+    def test_first_scoring_failure_in_query_order_is_named(self, tmp_path, jobs):
         # Singleton classes with exclude_self: every query's relevant set is
-        # empty, so the first query fails in ranking, before the missing file.
+        # empty, so every query fails in scoring and the first is named,
+        # however many workers extracted the queries.
         entries = []
-        for name, img in benchmark_shapes()[:2]:
+        for name, img in benchmark_shapes()[:3]:
             save_pgm(img, tmp_path / f"{name}.pgm")
             entries.append((f"{name}.pgm", name))
         db = build_index(Manifest(tuple(entries)), tmp_path, ExtractionConfig())
-        queries = Manifest((*entries, ("absent.pgm", "x")))
-        with pytest.raises(RuntimeError, match=f"^query {entries[0][0]!r}: recall is undefined"):
-            evaluate(db, queries, tmp_path, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True, jobs=jobs)
-
-    def test_parallel_matches_serial(self, small_eval):
-        root, manifest, db = small_eval
-        serial = evaluate(db, manifest, root, EvalMode.HYBRID, k=3)
-        parallel = evaluate(db, manifest, root, EvalMode.HYBRID, k=3, jobs=4)
-        assert serial == parallel
+        queries = build_index(Manifest(tuple(entries[1:] + entries[:1])), tmp_path, db.extraction_config,
+                              jobs=jobs)
+        with pytest.raises(RuntimeError, match=f"^query {entries[1][0]!r}: recall is undefined"):
+            evaluate(db, queries, EvalMode.MOMENTS_ONLY, k=1, exclude_self=True)
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("mode", list(EvalMode))
     def test_two_jobs_match_one_on_a_fresh_database(self, small_eval, mode, exclude_self):
-        # A fresh database has not built its columnar view yet, so the
-        # two-job run is the one that builds it.
         root, manifest, db = small_eval
         runs = [
-            evaluate(FeatureDatabase(db.records, db.extraction_config), manifest, root, mode, k=3,
-                     exclude_self=exclude_self, jobs=jobs)
+            evaluate(FeatureDatabase(db.records, db.extraction_config),
+                     build_index(manifest, root, db.extraction_config, jobs=jobs), mode, k=3,
+                     exclude_self=exclude_self)
             for jobs in (2, 1)
         ]
         assert runs[0] == runs[1]
@@ -270,22 +251,32 @@ class TestEvaluate:
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("mode", list(EvalMode))
     def test_loaded_database_builds_no_records(self, small_eval, records_made, mode, exclude_self, jobs):
-        # With one job every call runs in this process, where records_made sees it.
+        # The loaded database is its own query set; its report equals that of
+        # queries extracted by build_index on `jobs` workers.
         root, manifest, db = small_eval
-        report = evaluate(load_index(root.parent / "db.tsv"), manifest, root, mode, k=3,
-                          exclude_self=exclude_self, jobs=jobs)
+        loaded = load_index(root.parent / "db.tsv")
+        report = evaluate(loaded, loaded, mode, k=3, exclude_self=exclude_self)
         assert records_made == []
-        assert report == evaluate(db, manifest, root, mode, k=3, exclude_self=exclude_self)
+        queries = build_index(manifest, root, db.extraction_config, jobs=jobs)
+        assert report == evaluate(db, queries, mode, k=3, exclude_self=exclude_self)
+
+    def test_query_set_of_another_config_is_rejected(self, small_eval):
+        root, manifest, db = small_eval
+        other = ExtractionConfig(edge=EdgeConfig(threshold=40))
+        assert other != db.extraction_config
+        queries = build_index(Manifest(manifest.entries[:1]), root, other)
+        with pytest.raises(ValueError, match="different config"):
+            evaluate(db, queries, EvalMode.HYBRID, k=2)
 
 
 class TestEmitPrCsv:
-    def _report(self, root, manifest, db, mode=EvalMode.HYBRID):
-        return evaluate(db, manifest, root, mode, k=2)
+    def _report(self, db, mode=EvalMode.HYBRID):
+        return evaluate(db, db, mode, k=2)
 
     def test_row_count(self, small_eval, tmp_path):
         root, manifest, db = small_eval
         two = Manifest(manifest.entries[:2])
-        report = evaluate(db, two, root, EvalMode.HYBRID, k=2)
+        report = evaluate(db, build_index(two, root, db.extraction_config), EvalMode.HYBRID, k=2)
         emit_pr_csv(report, tmp_path / "pr.csv")
         lines = (tmp_path / "pr.csv").read_text().splitlines()
         assert lines[0] == "query_path,class,mode,precision,recall"
@@ -293,7 +284,8 @@ class TestEmitPrCsv:
 
     def test_formatting_contract(self, small_eval, tmp_path):
         root, manifest, db = small_eval
-        report = evaluate(db, Manifest(manifest.entries[:1]), root, EvalMode.HYBRID, k=2)
+        queries = build_index(Manifest(manifest.entries[:1]), root, db.extraction_config)
+        report = evaluate(db, queries, EvalMode.HYBRID, k=2)
         emit_pr_csv(report, tmp_path / "pr.csv")
         text = (tmp_path / "pr.csv").read_text()
         assert "1.000000" in text
@@ -302,7 +294,7 @@ class TestEmitPrCsv:
 
     def test_mean_row_format(self, small_eval, tmp_path):
         root, manifest, db = small_eval
-        report = self._report(root, manifest, db)
+        report = self._report(db)
         emit_pr_csv(report, tmp_path / "pr.csv")
         last = (tmp_path / "pr.csv").read_text().splitlines()[-1]
         assert last.startswith("MEAN,,hybrid,")
@@ -310,10 +302,19 @@ class TestEmitPrCsv:
 
     def test_reruns_are_byte_identical(self, small_eval, tmp_path):
         root, manifest, db = small_eval
-        report = self._report(root, manifest, db)
+        report = self._report(db)
         emit_pr_csv(report, tmp_path / "a.csv")
         emit_pr_csv(report, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_path_with_a_comma_reads_back_as_one_field(self, tmp_path):
+        save_pgm(benchmark_shapes()[0][1], tmp_path / "a,b.pgm")
+        db = build_index(Manifest((("a,b.pgm", "x"), ("a,b.pgm", "x"))), tmp_path, ExtractionConfig())
+        emit_pr_csv(evaluate(db, db, EvalMode.HYBRID, k=2), tmp_path / "pr.csv")
+        with open(tmp_path / "pr.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [5] * 4
+        assert [row[0] for row in rows[1:3]] == ["a,b.pgm"] * 2
 
     def test_empty_report_rejected(self, tmp_path):
         report_cls = type("R", (), {})  # emit only reads attributes

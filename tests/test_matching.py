@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestAdaptiveThreshold:
         threshold = DEFAULTS.base_threshold * DEFAULTS.multiplier ** (count // DEFAULTS.band_width)
         assert window.max_t == count + threshold
         assert window.min_t == max(0.0, count - threshold)
+
+    @pytest.mark.parametrize("count, config", [
+        (35_000, DEFAULTS),  # the largest finite power; the product alone overflows, to inf
+        (10**6, DEFAULTS),
+        (40, ThresholdConfig(multiplier=1e300)),
+    ])
+    def test_overflowing_threshold_accepts_every_count(self, count, config):
+        assert adaptive_threshold(count, config) == ThresholdWindow(0.0, math.inf)
+        records = [record(0, 0), record(1, count), record(2, 2**62)]
+        assert corner_filter(count, columns(records), config).record_ids.tolist() == [0, 1, 2]
 
 
 class TestCornerFilter:

@@ -44,7 +44,7 @@ def test_no_module_has_an_unused_import():
 
 def test_every_error_class_derives_from_a_root_the_cli_catches():
     # `tir` exits 2 on ValueError, RuntimeError and OSError; ItemError never
-    # reaches it, because build_index and evaluate always wrap it.
+    # reaches it, because build_index always wraps it.
     errors = []
     for info in pkgutil.iter_modules(tir.__path__):
         module = importlib.import_module(f"tir.{info.name}")

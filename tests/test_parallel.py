@@ -66,7 +66,6 @@ class TestInProcess:
         with pytest.raises(ItemError) as failed:
             map_ordered(record, [1, 2, 5, 3, 10])
         assert failed.value.index == 2
-        assert [sq for sq, _ in failed.value.results] == [1, 4]
         assert str(failed.value.__cause__) == "no square for 5"
         assert calls == [1, 2, 5]  # stops at the failure
 
@@ -92,7 +91,6 @@ class TestForkedWorkers:
         with pytest.raises(ItemError) as failed:
             map_ordered(_square_or_fail, [1, 2, 5, 10, 3, 15], 2)
         assert failed.value.index == 2
-        assert [sq for sq, _ in failed.value.results] == [1, 4]
         assert type(failed.value.__cause__) is ValueError
         assert str(failed.value.__cause__) == "no square for 5"
         assert multiprocessing.active_children() == []
