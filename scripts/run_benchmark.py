@@ -16,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+from tir.cli import _angle_list, _positive_int
 from tir.evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
 from tir.imaging import save_pgm
 from tir.index import ExtractionConfig, Manifest, build_index, write_manifest
@@ -26,21 +27,22 @@ from tir.shapes import benchmark_shapes
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=Path("bench_out"))
-    parser.add_argument("--k", type=int, default=6, help="results per query (default: 6)")
+    parser.add_argument("--k", type=_positive_int, default=6, help="results per query (default: 6)")
     parser.add_argument(
         "--angles",
+        type=_angle_list,
         default="0,60,120,180,240,300",
         help="comma-separated rotation angles in degrees",
     )
     parser.add_argument("--exclude-self", action="store_true",
                         help="drop each query's own record (stricter protocol)")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     return parser.parse_args()
 
 
 def main() -> int:
     args = parse_args()
-    angles = [float(a) for a in args.angles.split(",")]
+    angles = args.angles
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     base_dir = out / "base"

@@ -43,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    # ASCII digits only: int() would also take "1_0", " 7 ", "+5" and "\u0663".
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

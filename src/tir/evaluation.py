@@ -154,10 +154,12 @@ def evaluate(
     With `exclude_self` every record whose path is the query's exact path
     string is dropped from both the candidate pool and the relevant set.
     Any failing query aborts the evaluation with its path named, the first
-    in query order if several fail.
+    in query order if several fail. An empty query set is a ValueError.
     """
     if queries.extraction_config != db.extraction_config:
         raise ValueError("query features were extracted under a different config than the database's")
+    if not queries.paths:
+        raise ValueError("the query set is empty: there is nothing to evaluate")
     columns = db.columns
     by_class: dict[str, set[int]] = {}
     for record_id, label in zip(columns.record_ids.tolist(), db.labels):

@@ -240,7 +240,35 @@ def extract_features(
     edge_cfg: EdgeConfig = EdgeConfig(),
     corner_cfg: CornerConfig = CornerConfig(),
 ) -> tuple[int, HuVector]:
-    """Corner count on the edge map plus Hu invariants of the grayscale image."""
+    """Corner count on the edge map plus Hu invariants of the grayscale image.
+
+    Every stage runs on one crop of `image`: the bounding box of its nonzero
+    pixels, grown by ``corner_cfg.window_radius + 2`` pixels and clipped to
+    the image. The results are bit for bit those of the whole image, since
+    outside the box every stage sees only zeros:
+
+    - An edge pixel differs from one of its 8 neighbours, so it lies within
+      1 px of the box; a nonzero Sobel value lies within 2 px, and a nonzero
+      window sum within 2 + r px. Every such pixel is inside the crop, and
+      the crop's own border holds zero gradients (or is the image's border),
+      so the replicate padding of the crop copies the zeros that the image
+      holds there. Each active pixel sums the same products in the same order.
+    - NMS candidates are positive, so a neighbour outside the crop loses the
+      same way in both cases: as the crop's -inf border or as the image's 0.
+      The global maximum is the same, or both are <= 0 and no peak survives.
+    - Hu vectors are exactly invariant under integer translation with zero
+      padding (see `tir.moments`).
+
+    An all-zero image has no box; it is passed on whole, so `hu_moments`
+    raises its DegenerateImageError as before.
+    """
+    pix = image.pixels
+    rows = np.flatnonzero(pix.any(axis=1))
+    if len(rows):
+        cols = np.flatnonzero(pix.any(axis=0))
+        margin = corner_cfg.window_radius + 2
+        image = GrayImage(pix[max(rows[0] - margin, 0) : rows[-1] + margin + 1,
+                              max(cols[0] - margin, 0) : cols[-1] + margin + 1])
     count = corner_count(image, edge_cfg, corner_cfg)
     return count, hu_moments(image)
 

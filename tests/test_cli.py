@@ -1,4 +1,6 @@
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,16 @@ class TestUsageErrors:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "argument --top: expected an integer >= 1, got 'x'" in err and "_positive_int" not in err
+
+    @pytest.mark.parametrize("text", ["1_0", " 7 ", "+5", "\u0663"])
+    @pytest.mark.parametrize("command, option", [("index", "--jobs"), ("query", "--top"),
+                                                 ("eval", "--top"), ("eval", "--jobs")])
+    def test_integer_option_takes_ascii_digits_only(self, capsys, command, option, text):
+        # int() reads each of these spellings (as 10, 7, 5 and 3).
+        with pytest.raises(SystemExit) as exc:
+            run([command, *_REQUIRED[command], option, text])
+        assert exc.value.code == 1
+        assert f"argument {option}: expected an integer >= 1, got {text!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("angles", ["nan", "0,inf"])
     def test_non_finite_angle_exits_1(self, capsys, angles):
@@ -370,3 +382,26 @@ class TestPipeline:
                     "--image", str(work / "rot" / "kite_rot0.pgm"), "--raw-moment-distance"])
         assert code == 0
         assert capsys.readouterr().out
+
+
+class TestBenchmarkScriptOptions:
+    """scripts/run_benchmark.py parses its options with the CLI's types, before any work."""
+
+    @pytest.fixture(scope="class")
+    def script_main(self):
+        return runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_benchmark.py"))["main"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "0"], "argument --k: must be >= 1, got 0"),
+        (["--k", "1_0"], "argument --k: expected an integer >= 1, got '1_0'"),
+        (["--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+        (["--angles", "nan"], "argument --angles: expected a comma-separated list of finite angles"),
+    ])
+    def test_bad_option_is_a_usage_error(self, script_main, monkeypatch, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["run_benchmark.py", "--out-dir", str(out), *argv])
+        with pytest.raises(SystemExit) as exc:
+            script_main()
+        assert exc.value.code == 2  # argparse's own usage-error code
+        assert message in capsys.readouterr().err
+        assert not out.exists()

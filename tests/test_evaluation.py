@@ -16,7 +16,7 @@ from tir.evaluation import (
 )
 from tir.edge import EdgeConfig
 from tir.imaging import load_image, save_pgm
-from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index
+from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index, save_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
 
@@ -259,6 +259,17 @@ class TestEvaluate:
         assert records_made == []
         queries = build_index(manifest, root, db.extraction_config, jobs=jobs)
         assert report == evaluate(db, queries, mode, k=3, exclude_self=exclude_self)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_empty_query_set_is_rejected(self, small_eval, tmp_path, mode, loaded):
+        _, _, db = small_eval
+        queries = FeatureDatabase((), db.extraction_config)
+        if loaded:  # a database file with no records
+            save_index(queries, tmp_path / "empty.tsv")
+            queries = load_index(tmp_path / "empty.tsv")
+        with pytest.raises(ValueError, match="query set is empty"):
+            evaluate(db, queries, mode)
 
     def test_query_set_of_another_config_is_rejected(self, small_eval):
         root, manifest, db = small_eval

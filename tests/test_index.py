@@ -12,7 +12,7 @@ import mutation
 import reference
 from tir import index
 from tir.cli import run
-from tir.corners import CornerConfig
+from tir.corners import CornerConfig, corner_count
 from tir.edge import EdgeConfig
 from tir.imaging import GrayImage, RgbImage, load_image, save_pgm
 from tir.index import (
@@ -204,7 +204,62 @@ class TestManifestIO:
         assert read_manifest(path) == manifest
 
 
+@st.composite
+def zero_background_pixels(draw):
+    """A small uint8 grid on a black background: up to three solid blobs, any of
+    which may touch the borders, plus sparse single-pixel noise; possibly all zero."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    pixels = np.zeros((h, w), dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 3))):
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+        pixels[y0:y1, x0:x1] = draw(st.integers(1, 255))
+    for _ in range(draw(st.integers(0, 6))):
+        pixels[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(st.integers(0, 255))
+    return pixels
+
+
+def _blob(h, w, rows, cols, value=200):
+    pixels = np.zeros((h, w), dtype=np.uint8)
+    pixels[rows, cols] = value
+    return pixels
+
+
 class TestExtractFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        zero_background_pixels(),
+        st.integers(0, 255),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.floats(0.3, 4.0),
+        st.floats(0.001, 1.0),
+    )
+    @example(np.zeros((1, 1), np.uint8), 30, 2, 2, 1.5, 0.01)
+    @example(np.full((1, 1), 9, np.uint8), 30, 2, 2, 1.5, 0.01)
+    @example(np.zeros((9, 13), np.uint8), 0, 1, 1, 1.5, 0.01)
+    @example(_blob(1, 17, 0, slice(3, 9)), 30, 2, 2, 1.5, 0.01)
+    @example(_blob(16, 16, slice(0, 5), slice(4, 9)), 30, 2, 2, 1.5, 0.01)  # touches the top
+    @example(_blob(16, 16, slice(11, 16), slice(4, 9)), 30, 2, 2, 1.5, 0.01)  # the bottom
+    @example(_blob(16, 16, slice(4, 9), slice(0, 5)), 30, 2, 2, 1.5, 0.01)  # the left
+    @example(_blob(16, 16, slice(4, 9), slice(11, 16)), 30, 2, 2, 1.5, 0.01)  # the right
+    @example(_blob(16, 16, slice(6, 10), slice(6, 10)), 30, 1, 1, 0.5, 0.01)  # 9 corners on a margin of r, not 5
+    def test_crop_keeps_every_bit(self, pixels, threshold, window_radius, nms_radius, window_sigma, peak):
+        """extract_features on its crop equals corner_count and hu_moments on the whole image."""
+        image = GrayImage(pixels)
+        edge_cfg = EdgeConfig(threshold)
+        corner_cfg = CornerConfig(window_sigma=window_sigma, window_radius=window_radius,
+                                  peak_rel_threshold=peak, nms_radius=nms_radius)
+        if not pixels.any():
+            with pytest.raises(DegenerateImageError) as whole:
+                hu_moments(image)
+            with pytest.raises(DegenerateImageError, match=re.escape(str(whole.value))):
+                extract_features(image, edge_cfg, corner_cfg)
+            return
+        count, hu = extract_features(image, edge_cfg, corner_cfg)
+        assert count == corner_count(image, edge_cfg, corner_cfg)
+        assert hu.as_array().tobytes() == hu_moments(image).as_array().tobytes()
+
     def test_square_scene_features(self, scene):
         count, hu = extract_features(scene)
         assert count == 4
