@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from tir.cli import _angle_list, _positive_int
+from tir.cli import _angle_list, _Parser, _positive_int
 from tir.evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
 from tir.imaging import save_pgm
 from tir.index import ExtractionConfig, Manifest, build_index, write_manifest
@@ -25,7 +25,8 @@ from tir.shapes import benchmark_shapes
 
 
 def parse_args() -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # tir's parser: a usage error exits 1, as in tir, which keeps 2 for data errors.
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=Path("bench_out"))
     parser.add_argument("--k", type=_positive_int, default=6, help="results per query (default: 6)")
     parser.add_argument(

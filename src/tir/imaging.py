@@ -146,7 +146,11 @@ def load_image(path) -> GrayImage | RgbImage:
     Graymaps produce :class:`GrayImage`, pixmaps :class:`RgbImage`. Raises
     :class:`PnmError` for malformed content and ``OSError`` for unreadable files.
     """
-    data = Path(path).read_bytes()
+    return decode_image(Path(path).read_bytes())
+
+
+def decode_image(data: bytes) -> GrayImage | RgbImage:
+    """The image held by the bytes of a P2/P3/P5/P6 file, as `load_image` reads it."""
     magic = data[:2]
     if magic not in _MAGICS:
         raise PnmError(f"malformed header: unsupported magic {magic!r}")

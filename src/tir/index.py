@@ -22,10 +22,26 @@ Each record-line rule is written once, as a check over a whole chunk. When a
 chunk fails, load_index runs the same checks on its lines one at a time and
 names the first line that fails. A file that is not valid UTF-8 fails naming
 the line of its first bad byte, in a database and in a manifest alike.
+
+Image digests sidecar (`<db>.digests`, ASCII, LF line endings), which
+save_index writes after the database when the database carries the sha256
+of each record's image file, as build_index's databases do:
+
+    line 1:     TIRDIGESTS<TAB>1<TAB><sha256 of the database file's bytes>
+    per record: <record_id><TAB><sha256 of the image file's bytes>
+
+Line 1 binds the sidecar to one exact database file; beside any other bytes
+(a crash between the two writes, a database copied over) it is stale and
+ignored. Extraction is deterministic, so an image file whose digest names a
+record has exactly that record's features: `tir eval` loads its database
+with `load_index(..., with_digests=True)` and passes it to build_index as
+`reuse`, which then extracts only the query images the database does not
+hold. `tir query` and a plain load_index never read the sidecar.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -37,7 +53,8 @@ import numpy as np
 
 from .corners import CornerConfig, corner_count
 from .edge import EdgeConfig
-from .imaging import GrayImage, RgbImage, load_image, rgb_to_gray
+from .imaging import GrayImage, RgbImage, decode_image, rgb_to_gray
+from .imaging import load_image  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import (
     FeatureColumns,
     RankedMatch,
@@ -51,6 +68,10 @@ from .parallel import ItemError, map_ordered
 
 FORMAT_TAG = "TIRDB"
 FORMAT_VERSION = 1
+DIGESTS_TAG = "TIRDIGESTS"
+DIGESTS_VERSION = 1
+
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 class IndexFormatError(ValueError):
@@ -117,28 +138,37 @@ class FeatureDatabase:
     `labels`), one entry per record in record order, which every database
     has from the start; and `records`, one FeatureRecord per record, which a
     loaded database builds only on first use, so one that only retrieves
-    never builds them.
+    never builds them. `digests` is None or holds, in record order, the
+    sha256 hex digest of the image file each record was extracted from.
     """
 
-    def __init__(self, records, extraction_config: ExtractionConfig):
+    def __init__(self, records, extraction_config: ExtractionConfig, digests=None):
         records = tuple(records)
         ids = [r.record_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("record_ids must be unique within a database")
+        if digests is not None:
+            digests = tuple(digests)
+            if len(digests) != len(records):
+                raise ValueError(f"expected one digest per record ({len(records)}), got {len(digests)}")
+            if not all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests):
+                raise ValueError("digests must be sha256 digests in lowercase hex")
         vars(self).update(
             records=records,
             columns=FeatureColumns.from_records(records),
             paths=tuple(r.path for r in records),
             labels=tuple(r.class_label for r in records),
             extraction_config=extraction_config,
+            digests=digests,
         )
 
     @classmethod
     def _from_columns(cls, columns: FeatureColumns, paths: tuple[str, ...], labels: tuple[str, ...],
-                      extraction_config: ExtractionConfig) -> "FeatureDatabase":
-        """A database over columns that load_index has validated."""
+                      extraction_config: ExtractionConfig, digests=None) -> "FeatureDatabase":
+        """A database over columns (and digests) that load_index has validated."""
         db = cls.__new__(cls)
-        vars(db).update(columns=columns, paths=paths, labels=labels, extraction_config=extraction_config)
+        vars(db).update(columns=columns, paths=paths, labels=labels, extraction_config=extraction_config,
+                        digests=digests)
         return db
 
     def __setattr__(self, name, value):
@@ -179,9 +209,8 @@ class Manifest:
         object.__setattr__(self, "entries", entries)
 
 
-def _read_utf8(path) -> str:
-    """The text of `path`; a byte that is not UTF-8 fails naming its line (lines end at LF)."""
-    data = Path(path).read_bytes()
+def _decode_utf8(data: bytes, path) -> str:
+    """`data`, read from `path`, as text; a byte that is not UTF-8 fails naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -202,7 +231,8 @@ def read_manifest(path) -> Manifest:
     CR fails its line.
     """
     entries = []
-    for lineno, line in enumerate(_read_utf8(path).replace("\r\n", "\n").split("\n"), start=1):
+    text = _decode_utf8(Path(path).read_bytes(), path)
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if _skipped(line):
             continue
         if "\r" in line:
@@ -280,13 +310,26 @@ def _gray_features(image: GrayImage | RgbImage, config: ExtractionConfig) -> tup
     return extract_features(image, config.edge, config.corners)
 
 
-def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[int, HuVector]:
-    """Load `root / rel_path` and extract its features, in gray.
+def _read_image_file(path: Path) -> tuple[bytes, str]:
+    """The bytes of the image file at `path` and their sha256 hex digest."""
+    data = path.read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[str, int, HuVector]:
+    """The digest of `root / rel_path` and its features, in gray, from one read of the file.
 
     The per-image step of `build_index`, the only place tir extracts from
-    image files, and the work that map_ordered hands to its workers.
+    image files, and the work that map_ordered hands to its workers. The
+    digest and the features come from the same bytes, so a file that changes
+    meanwhile cannot pair one version's digest with another's features.
     """
-    return _gray_features(load_image(root / rel_path), config)
+    data, digest = _read_image_file(root / rel_path)
+    return (digest, *_gray_features(decode_image(data), config))
+
+
+def _entry_error(rel_path: str, exc: BaseException) -> IndexBuildError:
+    return IndexBuildError(f"manifest entry {rel_path!r}: {exc}")
 
 
 def build_index(
@@ -295,37 +338,74 @@ def build_index(
     config: ExtractionConfig = ExtractionConfig(),
     out=None,
     jobs: int = 1,
+    *,
+    reuse: FeatureDatabase | None = None,
 ) -> FeatureDatabase:
     """Extract features for every manifest entry and persist the database to `out`.
 
-    Records keep manifest order with record_id = entry index. Images are
+    Records keep manifest order with record_id = entry index, and the
+    database carries the digest of each entry's image file. Images are
     loaded and extracted on up to `jobs` worker processes. Any unreadable or
     degenerate image aborts the build, naming the offending path (the first
     in manifest order if several fail).
+
+    `reuse` is a database with digests extracted under `config`: an entry
+    whose file has the digest of one of its records takes that record's
+    corner count and Hu vector, which extraction would reproduce bit for bit.
+    Only the other entries are extracted; when none is left, no worker starts.
     """
     root = Path(root)
     for rel_path, label in manifest.entries:  # before any extraction, which is the slow part
         try:
             _check_label(label)
         except ValueError as exc:
-            raise IndexBuildError(f"manifest entry {rel_path!r}: {exc}") from exc
+            raise _entry_error(rel_path, exc) from exc
 
     paths = [rel_path for rel_path, _ in manifest.entries]
+    known = {}  # digest -> row of `reuse`
+    if reuse is not None and reuse.digests is not None and reuse.extraction_config == config:
+        known = {digest: row for row, digest in enumerate(reuse.digests)}
+    features: dict[int, tuple[str, int, HuVector]] = {}  # by entry index
+    pending = range(len(paths))  # entries to extract
+    unread = None  # (entry index, exception) if reading an entry for its digest failed
+    if known:
+        pending = []
+        cols = reuse.columns
+        for idx, rel_path in enumerate(paths):
+            try:
+                digest = _read_image_file(root / rel_path)[1]
+            except Exception as exc:  # as a worker would; named unless an earlier entry fails to extract
+                unread = idx, exc
+                break
+            if digest in known:
+                row = known[digest]
+                features[idx] = digest, int(cols.corner_counts[row]), HuVector(cols.hu[row].tolist())
+            else:
+                pending.append(idx)
     try:
-        features = map_ordered(partial(_image_features, root, config), paths, jobs)
+        extracted = map_ordered(partial(_image_features, root, config), [paths[idx] for idx in pending], jobs)
     except ItemError as err:
-        raise IndexBuildError(f"manifest entry {paths[err.index]!r}: {err.__cause__}") from err.__cause__
+        raise _entry_error(paths[pending[err.index]], err.__cause__) from err.__cause__
+    if unread is not None:
+        idx, exc = unread
+        raise _entry_error(paths[idx], exc) from exc
+    features.update(zip(pending, extracted))
     records = [
-        FeatureRecord(idx, rel_path, label, count, hu)
-        for idx, ((rel_path, label), (count, hu)) in enumerate(zip(manifest.entries, features))
+        FeatureRecord(idx, rel_path, label, *features[idx][1:])
+        for idx, (rel_path, label) in enumerate(manifest.entries)
     ]
-    db = FeatureDatabase(tuple(records), config)
+    db = FeatureDatabase(tuple(records), config, digests=[features[idx][0] for idx in range(len(paths))])
     if out is not None:
         save_index(db, out)
     return db
 
 
 def save_index(db: FeatureDatabase, path) -> None:
+    """Write `db` to `path`, replacing the file whole (see `_replace_file`).
+
+    A database with digests also gets its sidecar `<path>.digests`, written
+    after the database and bound to its bytes (see the module docstring).
+    """
     cfg = db.extraction_config
     lines = [
         f"{FORMAT_TAG}\t{FORMAT_VERSION}",
@@ -343,7 +423,54 @@ def save_index(db: FeatureDatabase, path) -> None:
         cols.record_ids.tolist(), db.paths, db.labels, cols.corner_counts.tolist(), cols.hu.tolist()
     ):
         lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
-    _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    # The old sidecar describes the file about to be replaced: it goes first, so
+    # a failed save leaves no sidecar rather than one for other bytes.
+    _digests_path(path).unlink(missing_ok=True)
+    _replace_file(Path(path), data)
+    if db.digests is not None:
+        digest_lines = [f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{hashlib.sha256(data).hexdigest()}"]
+        digest_lines += map("{}\t{}".format, cols.record_ids.tolist(), db.digests)
+        _replace_file(_digests_path(path), ("\n".join(digest_lines) + "\n").encode("ascii"))
+
+
+def _digests_path(path) -> Path:
+    """The image-digests sidecar of the database file at `path`."""
+    path = Path(path)
+    return path.with_name(path.name + ".digests")
+
+
+def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...] | None:
+    """The record digests in the sidecar of the database at `path`, whose bytes hash to `db_sha256`.
+
+    None when there is no sidecar, or when its line 1 is bound to other
+    database bytes (stale). A sidecar bound to these bytes must hold one
+    `<record_id><TAB><sha256>` line per record, in record order; otherwise
+    it is an IndexFormatError naming its first bad line.
+    """
+    sidecar = _digests_path(path)
+    try:
+        data = sidecar.read_bytes()
+    except FileNotFoundError:
+        return None
+    header = data.split(b"\n", 1)[0]
+    if header.split(b"\t")[-1] != db_sha256.encode():
+        return None
+    lines = _decode_utf8(data, sidecar).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines[0] != f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}":
+        raise IndexFormatError(f"{sidecar}: line 1: expected {DIGESTS_TAG}<TAB>{DIGESTS_VERSION}<TAB><sha256>")
+    digests = []
+    for lineno, (record_id, line) in enumerate(zip(record_ids, lines[1:]), start=2):
+        fields = line.split("\t")
+        if len(fields) != 2 or fields[0] != str(record_id) or not _SHA256_HEX.fullmatch(fields[1]):
+            raise IndexFormatError(f"{sidecar}: line {lineno}: expected {record_id}<TAB><sha256>, got {line!r}")
+        digests.append(fields[1])
+    if len(lines) - 1 != len(record_ids):
+        raise IndexFormatError(f"{sidecar}: line {len(digests) + 2}: expected one line per record"
+                               f" ({len(record_ids)}), got {len(lines) - 1}")
+    return tuple(digests)
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -443,14 +570,18 @@ def _chunk_columns(lines: list[str], seen_ids: set[int]):
     return ids, counts, hu, paths, labels
 
 
-def load_index(path) -> FeatureDatabase:
+def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
     """Load a feature database, verifying the version tag and every record line.
 
     An error names the first bad line. Lines end at LF only, so a CR (as in
     CRLF endings) is part of a line and fails that line's checks. The
     records go straight into columns; see the module docstring.
+
+    With `with_digests`, the database's `digests` come from its sidecar file
+    when one is bound to the bytes read here, and are None otherwise.
     """
-    lines = _read_utf8(path).split("\n")
+    data = Path(path).read_bytes()
+    lines = _decode_utf8(data, path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or not lines[0].startswith(FORMAT_TAG):
@@ -490,7 +621,8 @@ def load_index(path) -> FeatureDatabase:
         paths += chunk_paths
         labels += chunk_labels
     columns = FeatureColumns(record_ids, corner_counts, hu, log_hu)
-    return FeatureDatabase._from_columns(columns, tuple(paths), tuple(labels), config)
+    digests = _read_digests(path, hashlib.sha256(data).hexdigest(), record_ids.tolist()) if with_digests else None
+    return FeatureDatabase._from_columns(columns, tuple(paths), tuple(labels), config, digests)
 
 
 def query(

@@ -227,7 +227,7 @@ class TestDataErrors:
 
     def test_index_multi_token_label_exits_2_before_extraction(self, base_dataset, tmp_path, capsys, monkeypatch):
         loaded = []
-        monkeypatch.setattr("tir.index.load_image", lambda path: loaded.append(path))
+        monkeypatch.setattr("tir.index._read_image_file", lambda path: loaded.append(path))
         save_pgm(benchmark_shapes()[0][1], tmp_path / "a.pgm")
         (tmp_path / "m.tsv").write_text(f"{base_dataset / 'tri_wide.pgm'}\ttri_wide\na.pgm\tfoo bar\n")
         code = run(["index", "--manifest", str(tmp_path / "m.tsv"), "--root", str(tmp_path),
@@ -240,7 +240,7 @@ class TestDataErrors:
     def test_eval_multi_token_label_exits_2_before_extraction(self, indexed, tmp_path, capsys, monkeypatch):
         root, work = indexed
         loaded = []
-        monkeypatch.setattr("tir.index.load_image", lambda path: loaded.append(path))
+        monkeypatch.setattr("tir.index._read_image_file", lambda path: loaded.append(path))
         (tmp_path / "m.tsv").write_text("kite_rot0.pgm\tkite\nkite_rot60.pgm\tfoo bar\n")
         code = run(["eval", "--db", str(work / "db.tsv"), "--manifest", str(tmp_path / "m.tsv"),
                     "--root", str(work / "rot"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")])
@@ -302,6 +302,18 @@ class TestDataErrors:
         captured = capsys.readouterr()
         assert f"{db}: line 4: not valid UTF-8" in captured.err
         assert captured.out == ""
+
+    def test_eval_malformed_digests_sidecar_exits_2_naming_its_line(self, indexed, tmp_path, capsys):
+        root, work = indexed
+        (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())
+        lines = (work / "db.tsv.digests").read_text().splitlines()
+        lines[2] = lines[2][:-1]
+        (tmp_path / "db.tsv.digests").write_text("\n".join(lines) + "\n")
+        code = run(["eval", "--db", str(tmp_path / "db.tsv"), "--manifest", str(work / "rot.tsv"),
+                    "--root", str(work / "rot"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"tir eval: error: {tmp_path / 'db.tsv.digests'}: line 3: ")
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_eval_non_utf8_manifest_exits_2(self, indexed, tmp_path, capsys):
         root, work = indexed
@@ -376,6 +388,32 @@ class TestPipeline:
         assert lines[0] == "query_path,class,mode,precision,recall"
         assert lines[-1].startswith("MEAN,,hybrid,")
 
+    def test_eval_reuses_the_indexed_features_of_held_queries(self, indexed, tmp_path, capsys):
+        # The same CSV whether the queries' features come from the sidecar or from extraction.
+        root, work = indexed
+        (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())  # no sidecar beside it
+        held = read_manifest(work / "rot.tsv").entries
+        save_pgm(benchmark_shapes()[3][1], tmp_path / "new.pgm")  # an image the database does not hold
+        write_manifest(Manifest((*held[:2], (str(tmp_path / "new.pgm"), held[0][1]))), tmp_path / "q.tsv")
+        runs = []
+        for db, manifest in ((work / "db.tsv", work / "rot.tsv"), (tmp_path / "db.tsv", work / "rot.tsv"),
+                             (work / "db.tsv", tmp_path / "q.tsv"), (tmp_path / "db.tsv", tmp_path / "q.tsv")):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"pr{len(runs)}.csv"
+                assert run(["eval", "--db", str(db), "--manifest", str(manifest), "--root", str(work / "rot"),
+                            "--mode", "hybrid", "--out", str(out), "--jobs", jobs]) == 0
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                runs.append((out.read_bytes(), captured.err.split(" mean_precision")[0]))
+        n = len(held)
+        assert [err for _, err in runs] == [
+            *[f"mode=hybrid queries={n} reused={n} extracted=0"] * 2,
+            *[f"mode=hybrid queries={n} reused=0 extracted={n}"] * 2,
+            *["mode=hybrid queries=3 reused=2 extracted=1"] * 2,
+            *["mode=hybrid queries=3 reused=0 extracted=3"] * 2,
+        ]
+        assert len({csv for csv, _ in runs[:4]}) == 1 and len({csv for csv, _ in runs[4:]}) == 1
+
     def test_raw_moment_distance_flag_accepted(self, indexed, capsys):
         root, work = indexed
         code = run(["query", "--db", str(work / "db.tsv"),
@@ -402,6 +440,6 @@ class TestBenchmarkScriptOptions:
         monkeypatch.setattr("sys.argv", ["run_benchmark.py", "--out-dir", str(out), *argv])
         with pytest.raises(SystemExit) as exc:
             script_main()
-        assert exc.value.code == 2  # argparse's own usage-error code
+        assert exc.value.code == 1  # a usage error, as in tir; 2 is for data errors
         assert message in capsys.readouterr().err
         assert not out.exists()

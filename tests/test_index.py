@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import re
@@ -326,6 +327,162 @@ class TestBuildIndex:
         assert failures[0] == failures[1]
         assert failures[0][1].startswith(f"manifest entry {bad!r}: ")
         assert not (tmp_path / "db.tsv").exists()
+
+
+@pytest.fixture(scope="module")
+def reuse_dataset(tmp_path_factory):
+    """Five shapes on disk, a database `db.tsv` (with its sidecar) over the first three,
+    and `other.tsv` (with its sidecar) over the same three in reverse order."""
+    root = tmp_path_factory.mktemp("reuse")
+    entries = []
+    for name, img in benchmark_shapes()[:5]:
+        save_pgm(img, root / f"{name}.pgm")
+        entries.append((f"{name}.pgm", name))
+    save_pgm(GrayImage(np.zeros((8, 8), dtype=np.uint8)), root / "blank.pgm")
+    build_index(Manifest(tuple(entries[:3])), root, out=root / "db.tsv")
+    build_index(Manifest(tuple(entries[2::-1])), root, out=root / "other.tsv")
+    return root, entries
+
+
+def _features(db):
+    return db.columns.corner_counts.tobytes(), db.columns.hu.tobytes(), db.digests
+
+
+class TestDigestReuse:
+    """build_index(..., reuse=db) takes the features of query images the database holds byte for byte."""
+
+    QUERIES = {"all": [0, 1, 2], "some": [3, 1, 4, 0], "none": [4, 3]}
+
+    @staticmethod
+    def _db_with_sidecar(reuse_dataset, tmp_path, sidecar):
+        root, _ = reuse_dataset
+        db_file = tmp_path / "db.tsv"
+        db_file.write_bytes((root / "db.tsv").read_bytes())
+        if sidecar == "bound":
+            (tmp_path / "db.tsv.digests").write_bytes((root / "db.tsv.digests").read_bytes())
+        elif sidecar == "stale":  # the database was rewritten after its sidecar: same ids, other images
+            (tmp_path / "db.tsv.digests").write_bytes((root / "db.tsv.digests").read_bytes())
+            db_file.write_bytes((root / "other.tsv").read_bytes())
+        elif sidecar == "other":
+            (tmp_path / "db.tsv.digests").write_bytes((root / "other.tsv.digests").read_bytes())
+        return db_file
+
+    @pytest.mark.parametrize("sidecar", ["bound", "absent", "stale", "other"])
+    @pytest.mark.parametrize("queries", sorted(QUERIES))
+    def test_features_equal_fresh_extraction(self, reuse_dataset, tmp_path, monkeypatch, sidecar, queries):
+        root, entries = reuse_dataset
+        manifest = Manifest(tuple(entries[i] for i in self.QUERIES[queries]))
+        db = load_index(self._db_with_sidecar(reuse_dataset, tmp_path, sidecar), with_digests=True)
+        assert (db.digests is not None) == (sidecar == "bound")
+        fresh = build_index(manifest, root)
+        extracted = []
+        image_features = index._image_features
+        monkeypatch.setattr(index, "_image_features", lambda *a: extracted.append(a[-1]) or image_features(*a))
+        reused = build_index(manifest, root, reuse=db)
+        assert _features(reused) == _features(fresh)
+        assert reused.records == fresh.records
+        held = [p for p, _ in manifest.entries if p in db.paths] if sidecar == "bound" else []
+        assert extracted == [p for p, _ in manifest.entries if p not in held]
+
+    def test_all_held_starts_no_worker(self, reuse_dataset, monkeypatch):
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        calls = []
+        monkeypatch.setattr(index, "_image_features", lambda *a: calls.append(a))
+        for jobs in (1, 2):
+            queries = build_index(Manifest(tuple(entries[:3])), root, jobs=jobs, reuse=db)
+            assert queries.digests == db.digests
+        assert calls == []
+        assert multiprocessing.active_children() == []
+
+    def test_other_extraction_config_reuses_nothing(self, reuse_dataset):
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        config = ExtractionConfig(EdgeConfig(threshold=60))
+        manifest = Manifest(tuple(entries[:3]))
+        fresh = build_index(manifest, root, config)
+        assert _features(build_index(manifest, root, config, reuse=db)) == _features(fresh)
+
+    @pytest.mark.parametrize("bad", [["missing.pgm"], ["blank.pgm"], ["blank.pgm", "missing.pgm"],
+                                     ["missing.pgm", "blank.pgm"]])
+    def test_first_failing_entry_is_named_as_without_reuse(self, reuse_dataset, bad):
+        # Held entries sit before and after the bad ones; a later unreadable
+        # entry must not hide an earlier one that fails to extract.
+        root, entries = reuse_dataset
+        manifest = Manifest((entries[0], entries[3], *((b, "x") for b in bad), entries[1]))
+        db = load_index(root / "db.tsv", with_digests=True)
+        failures = []
+        for jobs, reuse in ((1, None), (1, db), (2, db)):
+            with pytest.raises(IndexBuildError) as failed:
+                build_index(manifest, root, jobs=jobs, reuse=reuse)
+            failures.append((type(failed.value.__cause__), str(failed.value)))
+        assert failures[0] == failures[1] == failures[2]
+        assert failures[0][1].startswith(f"manifest entry {bad[0]!r}: ")
+
+
+class TestDigestSidecar:
+    def test_round_trip(self, reuse_dataset, tmp_path):
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        assert db.digests == build_index(Manifest(tuple(entries[:3])), root).digests
+        assert load_index(root / "db.tsv").digests is None  # only on request
+        save_index(db, tmp_path / "db.tsv")
+        for name in ("db.tsv", "db.tsv.digests"):
+            assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
+
+    def test_format_and_unchanged_database_bytes(self, reuse_dataset, tmp_path):
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        save_index(FeatureDatabase(db.records, db.extraction_config), tmp_path / "db.tsv")
+        data = (tmp_path / "db.tsv").read_bytes()
+        assert data == (root / "db.tsv").read_bytes()
+        assert not (tmp_path / "db.tsv.digests").exists()
+        lines = (root / "db.tsv.digests").read_text().splitlines()
+        assert lines[0] == f"TIRDIGESTS\t1\t{hashlib.sha256(data).hexdigest()}"
+        assert lines[1:] == [f"{n}\t{d}" for n, d in enumerate(db.digests)]
+        assert db.digests[0] == hashlib.sha256((root / db.paths[0]).read_bytes()).hexdigest()
+
+    def test_saving_without_digests_removes_the_old_sidecar(self, reuse_dataset, tmp_path):
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        save_index(db, tmp_path / "db.tsv")
+        save_index(FeatureDatabase(db.records[:1], db.extraction_config), tmp_path / "db.tsv")
+        assert [p.name for p in tmp_path.iterdir()] == ["db.tsv"]
+
+    @pytest.mark.parametrize("edit, lineno", [
+        (lambda lines: ["TIRDIGESTS\t2\t" + lines[0].split("\t")[2], *lines[1:]], 1),
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2),
+        (lambda lines: [*lines[:2], lines[2].upper(), *lines[3:]], 3),
+        (lambda lines: [*lines[:2], lines[2] + "\r", *lines[3:]], 3),
+        (lambda lines: [*lines[:2], lines[2][:-1], *lines[3:]], 3),
+        (lambda lines: [*lines[:3], lines[3] + "\tx"], 4),
+        (lambda lines: lines[:3], 4),
+        (lambda lines: [*lines, "3\t" + "0" * 64], 5),
+    ])
+    def test_malformed_bound_sidecar_names_its_line(self, reuse_dataset, tmp_path, edit, lineno):
+        root, _ = reuse_dataset
+        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
+        lines = edit((root / "db.tsv.digests").read_text().splitlines())
+        sidecar = tmp_path / "db.tsv.digests"
+        sidecar.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IndexFormatError, match=f"^{re.escape(str(sidecar))}: line {lineno}: "):
+            load_index(tmp_path / "db.tsv", with_digests=True)
+        assert load_index(tmp_path / "db.tsv").digests is None
+
+    def test_non_utf8_sidecar_names_its_line(self, reuse_dataset, tmp_path):
+        root, _ = reuse_dataset
+        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
+        sidecar = tmp_path / "db.tsv.digests"
+        sidecar.write_bytes((root / "db.tsv.digests").read_bytes() + b"\xff\n")
+        with pytest.raises(IndexFormatError, match="line 5: not valid UTF-8"):
+            load_index(tmp_path / "db.tsv", with_digests=True)
+
+    @pytest.mark.parametrize("digests", [["0" * 64], ["A" * 64] * 3, ["0" * 63] * 3, [b"0" * 64] * 3])
+    def test_database_rejects_malformed_digests(self, reuse_dataset, digests):
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv")
+        with pytest.raises(ValueError, match="digest"):
+            FeatureDatabase(db.records, db.extraction_config, digests=digests)
 
 
 class TestPersistence:
