@@ -154,8 +154,11 @@ def evaluate(
     With `exclude_self` every record whose path is the query's exact path
     string is dropped from both the candidate pool and the relevant set.
     Any failing query aborts the evaluation with its path named, the first
-    in query order if several fail. An empty query set is a ValueError.
+    in query order if several fail. An empty query set or a `k` below 1 is a
+    ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if queries.extraction_config != db.extraction_config:
         raise ValueError("query features were extracted under a different config than the database's")
     if not queries.paths:

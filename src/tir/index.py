@@ -14,9 +14,10 @@ per line (lines end at LF; a CR before it is dropped); lines starting with
 `#` are comments.
 
 load_index parses the record lines in fixed-size chunks straight into
-columns: the numeric `FeatureColumns` plus the path and label tuples. A
-loaded database builds its `FeatureRecord` objects only when something asks
-for `records`; querying, evaluating and saving read the columns.
+columns: the numeric `FeatureColumns` plus the path and label tuples;
+build_index fills the same columns one row per entry. Any database builds
+its `FeatureRecord` objects only when something asks for `records`;
+indexing, querying, evaluating and saving read the columns.
 
 Each record-line rule is written once, as a check over a whole chunk. When a
 chunk fails, load_index runs the same checks on its lines one at a time and
@@ -134,12 +135,12 @@ class FeatureRecord:
 class FeatureDatabase:
     """Immutable set of feature records plus the config they were extracted under.
 
-    The records come in two forms: the columns (`columns`, `paths` and
-    `labels`), one entry per record in record order, which every database
-    has from the start; and `records`, one FeatureRecord per record, which a
-    loaded database builds only on first use, so one that only retrieves
-    never builds them. `digests` is None or holds, in record order, the
-    sha256 hex digest of the image file each record was extracted from.
+    Every database holds its records as columns (`columns`, `paths` and
+    `labels`), one entry per record in record order. `records`, one
+    FeatureRecord per record, is built from the columns only on first use,
+    so a database that only retrieves, evaluates or is saved never builds
+    them. `digests` is None or holds, in record order, the sha256 hex digest
+    of the image file each record was extracted from.
     """
 
     def __init__(self, records, extraction_config: ExtractionConfig, digests=None):
@@ -154,7 +155,6 @@ class FeatureDatabase:
             if not all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests):
                 raise ValueError("digests must be sha256 digests in lowercase hex")
         vars(self).update(
-            records=records,
             columns=FeatureColumns.from_records(records),
             paths=tuple(r.path for r in records),
             labels=tuple(r.class_label for r in records),
@@ -165,7 +165,7 @@ class FeatureDatabase:
     @classmethod
     def _from_columns(cls, columns: FeatureColumns, paths: tuple[str, ...], labels: tuple[str, ...],
                       extraction_config: ExtractionConfig, digests=None) -> "FeatureDatabase":
-        """A database over columns (and digests) that load_index has validated."""
+        """A database over columns (and digests) that load_index or build_index has validated."""
         db = cls.__new__(cls)
         vars(db).update(columns=columns, paths=paths, labels=labels, extraction_config=extraction_config,
                         digests=digests)
@@ -344,15 +344,16 @@ def build_index(
     """Extract features for every manifest entry and persist the database to `out`.
 
     Records keep manifest order with record_id = entry index, and the
-    database carries the digest of each entry's image file. Images are
-    loaded and extracted on up to `jobs` worker processes. Any unreadable or
-    degenerate image aborts the build, naming the offending path (the first
-    in manifest order if several fail).
+    database carries the digest of each entry's image file; each entry fills
+    its row of the columns. Images are loaded and extracted on up to `jobs`
+    worker processes. Any unreadable or degenerate image aborts the build:
+    map_ordered names the first failing entry in manifest order.
 
     `reuse` is a database with digests extracted under `config`: an entry
-    whose file has the digest of one of its records takes that record's
-    corner count and Hu vector, which extraction would reproduce bit for bit.
-    Only the other entries are extracted; when none is left, no worker starts.
+    whose file has the digest of one of its records copies that record's
+    row, which extraction would reproduce bit for bit. Only the other
+    entries are extracted; when none is left, no worker starts. An entry the
+    parent cannot read for its digest is left to its worker, which fails too.
     """
     root = Path(root)
     for rel_path, label in manifest.entries:  # before any extraction, which is the slow part
@@ -361,40 +362,35 @@ def build_index(
         except ValueError as exc:
             raise _entry_error(rel_path, exc) from exc
 
-    paths = [rel_path for rel_path, _ in manifest.entries]
+    paths, labels = zip(*manifest.entries)
+    n = len(paths)
+    digests = [None] * n
+    counts, hu = np.empty(n, np.int64), np.empty((n, 7))
     known = {}  # digest -> row of `reuse`
     if reuse is not None and reuse.digests is not None and reuse.extraction_config == config:
         known = {digest: row for row, digest in enumerate(reuse.digests)}
-    features: dict[int, tuple[str, int, HuVector]] = {}  # by entry index
-    pending = range(len(paths))  # entries to extract
-    unread = None  # (entry index, exception) if reading an entry for its digest failed
+    pending = range(n)  # entries to extract
     if known:
         pending = []
         cols = reuse.columns
         for idx, rel_path in enumerate(paths):
             try:
                 digest = _read_image_file(root / rel_path)[1]
-            except Exception as exc:  # as a worker would; named unless an earlier entry fails to extract
-                unread = idx, exc
-                break
+            except Exception:  # left to its worker, which fails the same way in manifest order
+                digest = None
             if digest in known:
                 row = known[digest]
-                features[idx] = digest, int(cols.corner_counts[row]), HuVector(cols.hu[row].tolist())
+                digests[idx], counts[idx], hu[idx] = digest, cols.corner_counts[row], cols.hu[row]
             else:
                 pending.append(idx)
     try:
         extracted = map_ordered(partial(_image_features, root, config), [paths[idx] for idx in pending], jobs)
     except ItemError as err:
         raise _entry_error(paths[pending[err.index]], err.__cause__) from err.__cause__
-    if unread is not None:
-        idx, exc = unread
-        raise _entry_error(paths[idx], exc) from exc
-    features.update(zip(pending, extracted))
-    records = [
-        FeatureRecord(idx, rel_path, label, *features[idx][1:])
-        for idx, (rel_path, label) in enumerate(manifest.entries)
-    ]
-    db = FeatureDatabase(tuple(records), config, digests=[features[idx][0] for idx in range(len(paths))])
+    for idx, (digest, count, hu_vector) in zip(pending, extracted):
+        digests[idx], counts[idx], hu[idx] = digest, count, hu_vector.phi
+    columns = FeatureColumns(np.arange(n, dtype=np.int64), counts, hu, log_magnitude_array(hu))
+    db = FeatureDatabase._from_columns(columns, paths, labels, config, tuple(digests))
     if out is not None:
         save_index(db, out)
     return db

@@ -279,6 +279,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="different config"):
             evaluate(db, queries, EvalMode.HYBRID, k=2)
 
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("mode", list(EvalMode))
+    def test_k_below_one_is_rejected_before_scoring(self, small_eval, mode, k, exclude_self):
+        # One ValueError in every mode, not a per-query RuntimeError from scoring.
+        _, _, db = small_eval
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            evaluate(db, db, mode, k=k, exclude_self=exclude_self)
+
 
 class TestEmitPrCsv:
     def _report(self, db, mode=EvalMode.HYBRID):

@@ -833,6 +833,37 @@ class TestLoadedDatabaseBuildsNoRecords:
         assert records_made == []
 
 
+class TestIndexingBuildsNoRecords:
+    """build_index, `tir index` and `tir eval` fill columns; FeatureRecords are made only on request."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("held", ["fresh", *sorted(TestDigestReuse.QUERIES)])
+    def test_build_index(self, reuse_dataset, records_made, held, jobs):
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        rows = TestDigestReuse.QUERIES.get(held, range(len(entries)))
+        built = build_index(Manifest(tuple(entries[i] for i in rows)), root, jobs=jobs,
+                            reuse=None if held == "fresh" else db)
+        assert records_made == []
+        assert [r.path for r in built.records] == [entries[i][0] for i in rows]
+        assert records_made == list(range(len(rows)))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("sidecar", [True, False])
+    def test_cli_index_and_eval(self, reuse_dataset, records_made, tmp_path, capsys, sidecar, jobs):
+        root, entries = reuse_dataset
+        write_manifest(Manifest(tuple(entries)), tmp_path / "manifest.tsv")
+        common = ["--manifest", str(tmp_path / "manifest.tsv"), "--root", str(root), "--jobs", jobs]
+        assert run(["index", *common, "--out", str(tmp_path / "db.tsv")]) == 0
+        if not sidecar:
+            (tmp_path / "db.tsv.digests").unlink()
+        assert run(["eval", *common, "--db", str(tmp_path / "db.tsv"), "--mode", "hybrid",
+                    "--out", str(tmp_path / "pr.csv")]) == 0
+        n = len(entries)
+        assert f"reused={n if sidecar else 0} extracted={0 if sidecar else n} " in capsys.readouterr().err
+        assert records_made == []
+
+
 class TestQuery:
     def test_self_retrieval_ranks_first_with_zero_distance(self, built):
         root, manifest, db, _ = built
