@@ -162,7 +162,8 @@ def _cmd_eval(args, config: ThresholdConfig) -> int:
     print(
         f"mode={report.mode.value} queries={len(report.per_query)} "
         f"reused={reused} extracted={len(report.per_query) - reused} "
-        f"mean_precision={report.mean.precision:.6f} mean_recall={report.mean.recall:.6f}",
+        f"mean_precision={report.mean.precision:.6f} mean_recall={report.mean.recall:.6f} "
+        f"survivors={report.mean_survivors:g}/{len(db.paths)}",
         file=sys.stderr,
     )
     return 0

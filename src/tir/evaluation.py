@@ -2,10 +2,12 @@
 three-mode evaluation harness (corner-only, moments-only, hybrid).
 
 Evaluation scores query features that `build_index` or `load_index` made,
-and extracts nothing. Per query, the relevant set is every database record
-sharing the query's class label; under the default leave-in protocol that
-includes the query's own record (matched by path). Results are reported per
-query plus an unweighted arithmetic mean.
+and extracts nothing. It ranks the whole query set in one
+`tir.matching.rank_queries` call, the batched form of the core that `query`
+runs for one image, then scores each query's top-k. Per query, the relevant
+set is every database record sharing the query's class label; under the
+default leave-in protocol that includes the query's own record (matched by
+path). Results are reported per query plus an unweighted arithmetic mean.
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-
-import numpy as np
 
 from .imaging import RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
-from .matching import FeatureColumns, ThresholdConfig, corner_filter, rank_by_moments
-from .moments import HuVector
+from .matching import ThresholdConfig, adaptive_threshold, rank_queries
+from .matching import corner_filter, rank_by_moments  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .parallel import map_ordered  # noqa: F401  not called here; kept for perfbench/tracing.py
 
 
@@ -57,11 +58,14 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All per-query points of one mode plus their arithmetic mean."""
+    """All per-query points of one mode, their arithmetic mean, and the mean
+    number of database rows a query ranked: the rows in its corner window
+    (every row in moments-only mode), less its own under `exclude_self`."""
 
     mode: EvalMode
     per_query: tuple[QueryResult, ...]
     mean: PRPoint
+    mean_survivors: float
 
 
 def precision(retrieved, relevant) -> float:
@@ -118,28 +122,6 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
     return Manifest(tuple(entries))
 
 
-def _retrieved_ids(
-    candidates: FeatureColumns,
-    query_count: int,
-    query_hu,
-    mode: EvalMode,
-    threshold_cfg: ThresholdConfig,
-    k: int,
-) -> list[int]:
-    """Record ids of the top-k candidates in one mode.
-
-    Corner-only mode orders the window's survivors by corner-count
-    difference, ties broken on record_id.
-    """
-    if mode is EvalMode.MOMENTS_ONLY:
-        return [m.record_id for m in rank_by_moments(query_hu, candidates, k)]
-    passing = corner_filter(query_count, candidates, threshold_cfg)
-    if mode is EvalMode.HYBRID:
-        return [m.record_id for m in rank_by_moments(query_hu, passing, k)]
-    order = np.lexsort((passing.record_ids, np.abs(passing.corner_counts - query_count)))
-    return passing.record_ids[order[:k]].tolist()
-
-
 def evaluate(
     db: FeatureDatabase,
     queries: FeatureDatabase,
@@ -167,27 +149,30 @@ def evaluate(
     by_class: dict[str, set[int]] = {}
     for record_id, label in zip(columns.record_ids.tolist(), db.labels):
         by_class.setdefault(label, set()).add(record_id)
-    # Python strings compare exactly; a numpy str array would drop trailing NULs.
-    paths = np.array(db.paths, dtype=object) if exclude_self else None
+    excluded = None
+    if exclude_self:
+        # Python strings compare exactly; a numpy str array would drop trailing NULs.
+        rows_of: dict[str, list[int]] = {}
+        for row, path in enumerate(db.paths):
+            rows_of.setdefault(path, []).append(row)
+        excluded = [rows_of.get(path, []) for path in queries.paths]
+    counts = queries.columns.corner_counts
+    windows = None if mode is EvalMode.MOMENTS_ONLY else [adaptive_threshold(c, threshold_cfg) for c in counts.tolist()]
+    log_hu = None if mode is EvalMode.CORNER_ONLY else queries.columns.log_hu
+    ranked, survivors = rank_queries(columns, counts, log_hu, k, windows=windows, excluded=excluded)
 
     results = []
-    for rel_path, label, count, phi in zip(queries.paths, queries.labels,
-                                           queries.columns.corner_counts.tolist(), queries.columns.hu.tolist()):
+    for rel_path, label, rows, own in zip(queries.paths, queries.labels, ranked, excluded or repeat([])):
         try:
-            relevant = by_class.get(label, set())
-            candidates = columns
-            if exclude_self:
-                own = paths == rel_path
-                candidates = columns.select(~own)
-                relevant = relevant - set(columns.record_ids[own].tolist())
-            retrieved = _retrieved_ids(candidates, count, HuVector(phi), mode, threshold_cfg, k)
+            relevant = by_class.get(label, set()) - set(columns.record_ids[own].tolist())
+            retrieved = columns.record_ids[rows].tolist()
             point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
         except Exception as exc:
             raise RuntimeError(f"query {rel_path!r}: {exc}") from exc
         results.append(QueryResult(rel_path, label, point))
     mean_p = sum(r.point.precision for r in results) / len(results)
     mean_r = sum(r.point.recall for r in results) / len(results)
-    return EvalReport(mode, tuple(results), PRPoint(mean_p, mean_r))
+    return EvalReport(mode, tuple(results), PRPoint(mean_p, mean_r), float(survivors.mean()))
 
 
 def emit_pr_csv(report: EvalReport, path) -> None:

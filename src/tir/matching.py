@@ -6,7 +6,9 @@ count band: Threshold = base_threshold * multiplier^floor(count / band_width),
 a step function that keeps the acceptance window proportional to the count.
 
 Filtering and ranking take `FeatureColumns`, a columnar view of feature
-records, and run as numpy operations over whole columns.
+records, and run as numpy operations over whole columns. One distance
+function and one top-k function serve both a single query
+(`rank_by_moments`) and a block of queries (`rank_queries`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .moments import HuVector
 
 # Added inside the log before scaling; keeps zero invariants finite.
 LOG_EPSILON = 1e-30
+
+# rank_queries ranks max(1, BLOCK_CELLS // rows) queries at a time, so each
+# (queries x rows) temporary of one chunk stays near 0.5 MB however many
+# queries there are (a single query's row is as long as the database).
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """sqrt of the summed squared component differences.
 
     Squares are products and the sum runs left to right, as in
-    `rank_by_moments`, so both give the same bits. (`** 2` goes through the C
+    `moment_distances`, so both give the same bits. (`** 2` goes through the C
     library's pow, which is not always correctly rounded, and Python 3.12's
     `sum` compensates rounding; either would break that agreement.)
     """
@@ -167,6 +174,79 @@ class FeatureColumns:
         )
 
 
+def moment_distances(query_vectors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(queries x rows) Euclidean distances between the rows of two (., 7) float64 blocks.
+
+    Each component's squared difference is a product, added to the running
+    sums one component at a time from the left, so every distance has the
+    bits of `euclidean_distance`.
+    """
+    total = np.zeros((len(query_vectors), len(vectors)))
+    for j in range(vectors.shape[1]):
+        difference = vectors[:, j] - query_vectors[:, j, None]
+        difference *= difference
+        total += difference
+    return np.sqrt(total, out=total)
+
+
+def _top_k(keys: np.ndarray, record_ids: np.ndarray, k: int, valid: np.ndarray) -> list[np.ndarray]:
+    """Per row of the (queries x rows) `keys`, the columns of its k smallest
+    `valid` keys in ascending (key, record_id) order."""
+    if k < keys.shape[1]:
+        # Everything as close as the k-th smallest valid key stays, so ties
+        # reach the sort. A masked key reads as the block's largest, which
+        # leaves that k-th smallest unchanged.
+        kth = np.partition(np.where(valid, keys, keys.max()), k - 1, axis=1)[:, k - 1:k]
+        valid = valid & (keys <= kth)
+    rows, cols = np.nonzero(valid)
+    cols = cols[np.lexsort((record_ids[cols], keys[rows, cols], rows))]
+    ends = np.cumsum(valid.sum(axis=1)).tolist()
+    return [cols[start:min(start + k, end)] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def rank_queries(
+    columns: FeatureColumns,
+    query_counts: np.ndarray,
+    query_log_hu: np.ndarray | None,
+    k: int,
+    *,
+    windows: Sequence[ThresholdWindow] | None = None,
+    excluded: Sequence[Sequence[int]] | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each query's top-k rows of `columns`, and how many rows it ranked.
+
+    Query i ranks the rows whose corner count lies in `windows[i]` (every row
+    when `windows` is None), less the rows `excluded[i]`. It orders them by
+    distance from `query_log_hu[i]` over the log-scaled invariants or, when
+    `query_log_hu` is None, by |count difference| from `query_counts[i]`;
+    ties break on record_id. The queries are ranked BLOCK_CELLS cells at a
+    time.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(columns)
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    ranked: list[np.ndarray] = []
+    survivors = np.zeros(len(query_counts), dtype=np.int64)
+    for start in range(0, len(query_counts), step):
+        block = slice(start, start + step)
+        counts = query_counts[block]
+        if windows is None:
+            valid = np.ones((len(counts), n), dtype=bool)
+        else:
+            lo, hi = np.array([(w.min_t, w.max_t) for w in windows[block]], dtype=np.float64).T
+            valid = (lo[:, None] <= columns.corner_counts) & (columns.corner_counts <= hi[:, None])
+        for i, rows in enumerate(excluded[block] if excluded is not None else ()):
+            valid[i, rows] = False
+        if query_log_hu is None:
+            keys = np.abs(columns.corner_counts - counts[:, None])
+        else:
+            keys = moment_distances(query_log_hu[block], columns.log_hu)
+        survivors[block] = valid.sum(axis=1)
+        ranked += _top_k(keys, columns.record_ids, k, valid)
+    return ranked, survivors
+
+
 def rank_by_moments(
     query_hu: HuVector,
     columns: FeatureColumns,
@@ -184,16 +264,10 @@ def rank_by_moments(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     query_vec = log_magnitude_array(query_hu.as_array()) if log_scale else query_hu.as_array()
-    # numpy squares by multiplication and adds a 7-element row left to right,
-    # so every distance has the bits of euclidean_distance.
-    distances = np.sqrt((((columns.log_hu if log_scale else columns.hu) - query_vec) ** 2).sum(axis=1))
-    shortlist = np.arange(len(columns))
-    if k < len(columns):
-        # Everything as close as the k-th distance stays, so ties reach the sort.
-        shortlist = np.flatnonzero(distances <= np.partition(distances, k - 1)[k - 1])
-    rows = shortlist[np.lexsort((columns.record_ids[shortlist], distances[shortlist]))[:k]]
+    distances = moment_distances(query_vec[None], columns.log_hu if log_scale else columns.hu)
+    [rows] = _top_k(distances, columns.record_ids, k, np.ones(distances.shape, dtype=bool))
     differences = [0] * len(rows)
     if query_corner_count is not None:
         differences = np.abs(columns.corner_counts[rows] - query_corner_count).tolist()
-    ids, row_distances = columns.record_ids[rows].tolist(), distances[rows].tolist()
+    ids, row_distances = columns.record_ids[rows].tolist(), distances[0, rows].tolist()
     return [RankedMatch(*match) for match in zip(ids, differences, row_distances)]

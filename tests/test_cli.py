@@ -7,8 +7,8 @@ import pytest
 
 from tir.cli import build_parser, run
 from tir.imaging import GrayImage, save_pgm
-from tir.index import ExtractionConfig, Manifest, read_manifest, write_manifest
-from tir.matching import ThresholdConfig
+from tir.index import ExtractionConfig, Manifest, load_index, read_manifest, write_manifest
+from tir.matching import ThresholdConfig, corner_filter
 from tir.shapes import benchmark_shapes
 
 
@@ -413,6 +413,22 @@ class TestPipeline:
             *["mode=hybrid queries=3 reused=0 extracted=3"] * 2,
         ]
         assert len({csv for csv, _ in runs[:4]}) == 1 and len({csv for csv, _ in runs[4:]}) == 1
+
+    @pytest.mark.parametrize("mode", ["corner", "moments", "hybrid"])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_eval_reports_the_mean_survivor_count(self, indexed, tmp_path, capsys, mode, exclude_self):
+        # The mean number of rows a query ranked, out of the database's: its window's rows (every row in
+        # moments mode), less its own record under --exclude-self. Every query here is a record.
+        root, work = indexed
+        db = load_index(work / "db.tsv")
+        counts = db.columns.corner_counts
+        ranked = [len(counts) if mode == "moments" else len(corner_filter(count, db.columns)) for count in counts]
+        want = sum(ranked) / len(ranked) - exclude_self
+        argv = ["eval", "--db", str(work / "db.tsv"), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
+                "--mode", mode, "--out", str(tmp_path / "pr.csv")]
+        assert run(argv + ["--exclude-self"] * exclude_self) == 0
+        fields = capsys.readouterr().err.split()
+        assert fields[-2].startswith("mean_recall=") and fields[-1] == f"survivors={want:g}/{len(counts)}"
 
     def test_raw_moment_distance_flag_accepted(self, indexed, capsys):
         root, work = indexed

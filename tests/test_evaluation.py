@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ class TestEvaluate:
         queries = build_index(Manifest(manifest.entries[:1]), root, other)
         with pytest.raises(ValueError, match="different config"):
             evaluate(db, queries, EvalMode.HYBRID, k=2)
+
+    @pytest.mark.parametrize("block_cells", [None, 1])
+    @pytest.mark.parametrize("mode", [EvalMode.CORNER_ONLY, EvalMode.HYBRID])
+    def test_empty_window_names_the_first_failing_query(self, small_eval, monkeypatch, mode, block_cells):
+        # Queries 1 and 3 have corner counts far past every record's, so their windows are empty; the
+        # error names query 1, whether the block is ranked in one chunk or one query at a time.
+        _, _, db = small_eval
+        if block_cells is not None:
+            monkeypatch.setattr("tir.matching.BLOCK_CELLS", block_cells)
+        assert adaptive_threshold(100).min_t > db.columns.corner_counts.max()
+        records = [dataclasses.replace(r, corner_count=100) if i in (1, 3) else r for i, r in enumerate(db.records)]
+        queries = FeatureDatabase(records, db.extraction_config)
+        message = f"query {records[1].path!r}: precision is undefined for an empty retrieved list"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            evaluate(db, queries, mode, k=3)
+        assert evaluate(db, queries, EvalMode.MOMENTS_ONLY, k=3).mean_survivors == len(db.paths)
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("k", [0, -1])
