@@ -52,10 +52,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    # ASCII digits after an optional '-'; the settings check the range.
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    # ASCII, no '_', no padding (float() takes "1_0", "\u0663", " 7 "); the settings check range, nan and inf.
+    if text.isascii() and "_" not in text and text == text.strip():
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
+
+
 def _angle_list(text: str) -> list[float]:
     try:
-        angles = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+        angles = [_real(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError:
         angles = []
     if not angles or not all(map(math.isfinite, angles)):
         raise argparse.ArgumentTypeError("expected a comma-separated list of finite angles in degrees")
@@ -72,9 +89,9 @@ def _settings(cls, args):
 
 def _add_window_options(parser: argparse.ArgumentParser) -> None:
     """The adaptive-window options that `query` and `eval` share, and the `ThresholdConfig` they build."""
-    parser.add_argument("--band-width", type=int, default=ThresholdConfig.band_width, metavar="R")
-    parser.add_argument("--base-threshold", type=float, default=ThresholdConfig.base_threshold, metavar="T0")
-    parser.add_argument("--multiplier", type=float, default=ThresholdConfig.multiplier, metavar="M")
+    parser.add_argument("--band-width", type=_integer, default=ThresholdConfig.band_width, metavar="R")
+    parser.add_argument("--base-threshold", type=_real, default=ThresholdConfig.base_threshold, metavar="T0")
+    parser.add_argument("--multiplier", type=_real, default=ThresholdConfig.multiplier, metavar="M")
     parser.set_defaults(settings=partial(_settings, ThresholdConfig))
 
 
@@ -87,15 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--manifest", required=True, help="dataset manifest (path<TAB>class per line)")
     p_index.add_argument("--root", required=True, help="directory manifest paths are relative to")
     p_index.add_argument("--out", required=True, help="feature database output path")
-    p_index.add_argument("--edge-threshold", dest="threshold", type=int, default=EdgeConfig.threshold, metavar="T")
-    p_index.add_argument("--harris-kappa", dest="kappa", type=float, default=CornerConfig.kappa, metavar="K")
-    p_index.add_argument("--harris-sigma", dest="window_sigma", type=float, default=CornerConfig.window_sigma,
+    p_index.add_argument("--edge-threshold", dest="threshold", type=_integer, default=EdgeConfig.threshold, metavar="T")
+    p_index.add_argument("--harris-kappa", dest="kappa", type=_real, default=CornerConfig.kappa, metavar="K")
+    p_index.add_argument("--harris-sigma", dest="window_sigma", type=_real, default=CornerConfig.window_sigma,
                          metavar="S")
-    p_index.add_argument("--harris-window", dest="window_radius", type=int, default=CornerConfig.window_radius,
+    p_index.add_argument("--harris-window", dest="window_radius", type=_integer, default=CornerConfig.window_radius,
                          metavar="R")
-    p_index.add_argument("--peak-threshold", dest="peak_rel_threshold", type=float,
+    p_index.add_argument("--peak-threshold", dest="peak_rel_threshold", type=_real,
                          default=CornerConfig.peak_rel_threshold, metavar="F")
-    p_index.add_argument("--nms-radius", type=int, default=CornerConfig.nms_radius, metavar="R")
+    p_index.add_argument("--nms-radius", type=_integer, default=CornerConfig.nms_radius, metavar="R")
     p_index.add_argument("--jobs", type=_positive_int, default=usable_cpus(), metavar="N")
 
     p_query = sub.add_parser("query", help="rank database images against one query image")

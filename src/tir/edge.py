@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, _Raster
 
 
 @dataclass(frozen=True)
@@ -27,28 +27,16 @@ class EdgeConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryImage:
+class BinaryImage(_Raster):
     """Edge map; ``pixels`` is a read-only boolean array of shape (height, width)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels)
+    @staticmethod
+    def _checked(arr: np.ndarray) -> np.ndarray:
         if arr.ndim != 2 or arr.dtype != np.bool_:
             raise ValueError(f"expected a 2-D boolean grid, got {arr.dtype} shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image dimensions must be >= 1")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+        return np.ascontiguousarray(arr)
 
 
 def prompt_edge(image: GrayImage, config: EdgeConfig = EdgeConfig()) -> BinaryImage:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,89 +24,86 @@ class PnmError(ValueError):
     """Malformed or unsupported portable anymap content."""
 
 
-def _frozen_pixels(pixels, channels: int) -> np.ndarray:
-    arr = np.asarray(pixels)
-    want = 2 if channels == 1 else 3
-    if arr.ndim != want or (channels == 3 and arr.shape[2] != 3):
-        raise ValueError(f"expected a {want}-D pixel grid, got shape {arr.shape}")
+@dataclass(frozen=True, eq=False)
+class _Raster:
+    """Read-only pixels of shape (height, width, ...): the base freezes what each subclass's `_checked` returns."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        arr = self._checked(np.asarray(self.pixels))
+        arr.setflags(write=False)
+        object.__setattr__(self, "pixels", arr)
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+
+def _byte_pixels(arr: np.ndarray, ndim: int) -> np.ndarray:
+    if arr.ndim != ndim or arr.shape[2:] not in ((), (3,)):
+        raise ValueError(f"expected a {ndim}-D pixel grid, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be >= 1, got {arr.shape[1]}x{arr.shape[0]}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("pixel values must lie in [0, 255]")
-    arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    arr.setflags(write=False)
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class GrayImage(_Raster):
     """8-bit single-channel image; ``pixels`` is read-only uint8 of shape (height, width)."""
 
-    pixels: np.ndarray
+    _checked = staticmethod(partial(_byte_pixels, ndim=2))
 
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _frozen_pixels(self.pixels, 1))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    @classmethod
+    def from_real(cls, values: np.ndarray) -> "GrayImage":
+        """The image of real-valued intensities, each rounded half to even and clamped to [0, 255]."""
+        return cls(np.clip(np.rint(values), 0, 255).astype(np.uint8))
 
 
 @dataclass(frozen=True, eq=False)
-class RgbImage:
+class RgbImage(_Raster):
     """8-bit three-channel image; ``pixels`` is read-only uint8 of shape (height, width, 3)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _frozen_pixels(self.pixels, 3))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    _checked = staticmethod(partial(_byte_pixels, ndim=3))
 
 
-_MAGICS = {b"P2": ("gray", False), b"P3": ("rgb", False), b"P5": ("gray", True), b"P6": ("rgb", True)}
+_MAGICS = {b"P2": (GrayImage, False), b"P3": (RgbImage, False), b"P5": (GrayImage, True), b"P6": (RgbImage, True)}
+
+# PNM whitespace (the bytes `bytes.isspace` accepts) and comments ('#' up to the next CR or LF), in header and raster.
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_COMMENT = rb"#[^\r\n]*"
+_IS_SPACE = np.isin(np.arange(256), list(_WHITESPACE))
+_GAP = re.compile(b"[" + re.escape(_WHITESPACE) + b"]+|" + _COMMENT)
+_FIELD = re.compile(b"[^#" + re.escape(_WHITESPACE) + b"]+")
 
 
 def _header_ints(data: bytes, start: int, count: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated integer tokens, honouring '#' comments."""
     tokens: list[int] = []
-    i, n = start, len(data)
+    i = start
     while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
+        # One run or comment per match: a pattern for a whole gap keeps state for every byte of it.
+        if gap := _GAP.match(data, i):
+            i = gap.end()
             continue
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-            j += 1
-        if j == i:
+        if not (field := _FIELD.match(data, i)):
             raise PnmError("malformed header: fewer fields than required")
-        tok = data[i:j]
+        tok = field[0]
         if not tok.isdigit():
             raise PnmError(f"malformed header: expected an integer, got {tok!r}")
         if len(tok) > 18:  # no file holds that much; int() and str() refuse thousands of digits
             raise PnmError(f"malformed header: integer of {len(tok)} digits (at most 18)")
         tokens.append(int(tok))
-        i = j
+        i = field.end()
     return tokens, i
-
-
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
 
 def _ascii_samples(data: bytes, start: int, need: int) -> np.ndarray:
@@ -114,9 +112,8 @@ def _ascii_samples(data: bytes, start: int, need: int) -> np.ndarray:
     Parsed on the byte array, not token by token. A sample above 255 is
     rejected however many digits it has, leading zeros allowed.
     """
-    # '#' comments are tolerated in the raster section as well.
-    buf = np.frombuffer(re.sub(rb"#[^\r\n]*", b"", data[start:]), dtype=np.uint8)
-    in_token = ~_SPACE[buf]
+    buf = np.frombuffer(re.sub(_COMMENT, b"", data[start:]), dtype=np.uint8)
+    in_token = ~_IS_SPACE[buf]
     bounds = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]  # each token is buf[start:end]
     if len(starts) < need:
@@ -154,17 +151,17 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
     magic = data[:2]
     if magic not in _MAGICS:
         raise PnmError(f"malformed header: unsupported magic {magic!r}")
-    kind, binary = _MAGICS[magic]
+    cls, binary = _MAGICS[magic]
     (width, height, maxval), pos = _header_ints(data, 2, 3)
     if width < 1 or height < 1:
         raise PnmError(f"invalid dimensions: {width}x{height} (both must be >= 1)")
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval} (only 255 is accepted)")
-    channels = 1 if kind == "gray" else 3
-    need = width * height * channels
+    shape = (height, width) if cls is GrayImage else (height, width, 3)
+    need = math.prod(shape)
     if binary:
         # Exactly one whitespace byte separates the header from the raster.
-        if pos >= len(data) or not data[pos : pos + 1].isspace():
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PnmError("malformed header: missing raster separator")
         raster = data[pos + 1 :]
         if len(raster) < need:
@@ -172,9 +169,7 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
         flat = np.frombuffer(raster[:need], dtype=np.uint8)
     else:
         flat = _ascii_samples(data, pos, need).astype(np.uint8)
-    if kind == "gray":
-        return GrayImage(flat.reshape(height, width))
-    return RgbImage(flat.reshape(height, width, 3))
+    return cls(flat.reshape(shape))
 
 
 def save_pgm(image: GrayImage, path) -> None:
@@ -188,7 +183,7 @@ def rgb_to_gray(image: RgbImage) -> GrayImage:
     rgb = image.pixels.astype(np.float64)
     wr, wg, wb = GRAY_WEIGHTS
     gray = wr * rgb[:, :, 0] + wg * rgb[:, :, 1] + wb * rgb[:, :, 2]
-    return GrayImage(np.clip(np.rint(gray), 0, 255).astype(np.uint8))
+    return GrayImage.from_real(gray)
 
 
 def rotate(image: GrayImage, angle: float) -> GrayImage:
@@ -208,8 +203,7 @@ def rotate(image: GrayImage, angle: float) -> GrayImage:
     # Screen coordinates have y pointing down, so visual CCW uses this matrix.
     sx = c * dx - s * dy + cx
     sy = s * dx + c * dy + cy
-    out = _bilinear_black(image.pixels, sx, sy)
-    return GrayImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+    return GrayImage.from_real(_bilinear_black(image.pixels, sx, sy))
 
 
 def _bilinear_black(pix: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:

@@ -140,26 +140,22 @@ class FeatureDatabase:
     FeatureRecord per record, is built from the columns only on first use,
     so a database that only retrieves, evaluates or is saved never builds
     them. `digests` is None or holds, in record order, the sha256 hex digest
-    of the image file each record was extracted from.
+    of the image file each record was extracted from: `build_index` hashes
+    the bytes it read, and `load_index` reads a bound sidecar. A database
+    made from records has none.
     """
 
-    def __init__(self, records, extraction_config: ExtractionConfig, digests=None):
+    def __init__(self, records, extraction_config: ExtractionConfig):
         records = tuple(records)
         ids = [r.record_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("record_ids must be unique within a database")
-        if digests is not None:
-            digests = tuple(digests)
-            if len(digests) != len(records):
-                raise ValueError(f"expected one digest per record ({len(records)}), got {len(digests)}")
-            if not all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests):
-                raise ValueError("digests must be sha256 digests in lowercase hex")
         vars(self).update(
             columns=FeatureColumns.from_records(records),
             paths=tuple(r.path for r in records),
             labels=tuple(r.class_label for r in records),
             extraction_config=extraction_config,
-            digests=digests,
+            digests=None,
         )
 
     @classmethod

@@ -142,13 +142,17 @@ class FeatureColumns:
     """Columnar view of feature records: row i of every column is one record.
 
     `hu` holds the raw invariants and `log_hu` their `log_magnitude_array`;
-    both are (n, 7) float64, the other two columns int64 of length n.
+    both are (n, 7) float64, the other two int64 of length n. All are read-only.
     """
 
     record_ids: np.ndarray
     corner_counts: np.ndarray
     hu: np.ndarray
     log_hu: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.record_ids, self.corner_counts, self.hu, self.log_hu):
+            column.setflags(write=False)
 
     @classmethod
     def from_records(cls, records: Iterable) -> "FeatureColumns":

@@ -26,7 +26,7 @@ def _grid(size: int, supersample: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _render(mask: np.ndarray, size: int, supersample: int, intensity: int) -> GrayImage:
     coverage = mask.reshape(size, supersample, size, supersample).mean(axis=(1, 3))
-    return GrayImage(np.clip(np.rint(coverage * intensity), 0, 255).astype(np.uint8))
+    return GrayImage.from_real(coverage * intensity)
 
 
 def _polygon_mask(xx: np.ndarray, yy: np.ndarray, vertices) -> np.ndarray:

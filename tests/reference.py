@@ -376,6 +376,41 @@ def harris_peaks(response: np.ndarray, rel_threshold: float, nms_radius: int) ->
 # PNM
 
 
+def pnm_header_ints(data: bytes, start: int, count: int):
+    """(tokens, end) for the first `count` integer header fields from `start`,
+    or the message of the PnmError the header must raise.
+
+    Each byte is first classed as comment (a '#' and what follows it up to the
+    next CR or LF), whitespace or token; a field is a maximal run of token bytes.
+    """
+    kinds = []
+    in_comment = False
+    for byte in data[start:]:
+        if in_comment and byte in b"\r\n":
+            in_comment = False
+        elif byte == ord("#"):
+            in_comment = True
+        kinds.append("comment" if in_comment else "space" if byte in b" \t\n\r\x0b\x0c" else "token")
+    tokens = []
+    pos = 0
+    while len(tokens) < count:
+        while pos < len(kinds) and kinds[pos] != "token":
+            pos += 1
+        if pos == len(kinds):
+            return "malformed header: fewer fields than required"
+        end = pos
+        while end < len(kinds) and kinds[end] == "token":
+            end += 1
+        field = data[start + pos : start + end]
+        if not all(48 <= ch <= 57 for ch in field):
+            return f"malformed header: expected an integer, got {field!r}"
+        if len(field) > 18:
+            return f"malformed header: integer of {len(field)} digits (at most 18)"
+        tokens.append(int(field))
+        pos = end
+    return tokens, start + pos
+
+
 def pnm_ascii_samples(raster: bytes, need: int):
     """The first `need` samples of an ASCII raster as Python ints, or the
     expected error's keyword: 'truncated', 'non-numeric' or 'maxval'."""

@@ -1,3 +1,4 @@
+import math
 import runpy
 from dataclasses import replace
 from pathlib import Path
@@ -141,6 +142,44 @@ class TestUsageErrors:
             run([command, *_REQUIRED[command], option, text])
         assert exc.value.code == 1
         assert f"argument {option}: expected an integer >= 1, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 7 "])
+    @pytest.mark.parametrize("command, option, kind", [
+        ("index", "--edge-threshold", "an integer"), ("index", "--harris-window", "an integer"),
+        ("index", "--nms-radius", "an integer"), ("index", "--harris-kappa", "a real number"),
+        ("index", "--harris-sigma", "a real number"), ("index", "--peak-threshold", "a real number"),
+        ("query", "--band-width", "an integer"), ("query", "--base-threshold", "a real number"),
+        ("eval", "--multiplier", "a real number"),
+    ])
+    def test_numeric_option_takes_plain_ascii_only(self, capsys, command, option, kind, text):
+        # int() and float() read each of these spellings (as 10, 3 and 7).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *_REQUIRED[command], option, text])
+        assert exc.value.code == 1
+        assert f"argument {option}: expected {kind}, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, angles", [("1_0", None), ("\u0663", None), ("0,1_0", None),
+                                              (" 7 ", [7.0]), ("0, 60 ,-7.5", [0.0, 60.0, -7.5])])
+    def test_angle_list_takes_plain_ascii_tokens_only(self, capsys, text, angles):
+        argv = ["gen-rotations", "--manifest", "m", "--root", "r", "--angles", text, "--out-dir", "d",
+                "--out-manifest", "o"]
+        if angles is not None:  # a token may be padded, as in "0, 60"
+            assert build_parser().parse_args(argv).angles == angles
+            return
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        assert "argument --angles: expected a comma-separated list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, text, field, value", [
+        ("index", "--edge-threshold", "-3", "threshold", -3),
+        ("index", "--harris-kappa", "4e-2", "kappa", 0.04),
+        ("query", "--base-threshold", "+nan", "base_threshold", math.nan),
+        ("eval", "--multiplier", "inf", "multiplier", math.inf),
+    ])
+    def test_numeric_option_leaves_the_range_to_the_settings(self, command, option, text, field, value):
+        got = getattr(build_parser().parse_args([command, *_REQUIRED[command], option, text]), field)
+        assert got == value or math.isnan(got) and math.isnan(value)
 
     @pytest.mark.parametrize("angles", ["nan", "0,inf"])
     def test_non_finite_angle_exits_1(self, capsys, angles):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from tir.edge import BinaryImage, EdgeConfig, prompt_edge
+from tir.edge import EdgeConfig, prompt_edge
 from tir.imaging import GrayImage
 
 small_pixels = hnp.arrays(
@@ -104,13 +104,3 @@ class TestPromptEdge:
         pix = rng.integers(0, 256, (9, 9), dtype=np.int64)
         for low, high in ((0, 30), (30, 128), (128, 255)):
             assert (counts(pix, high) <= counts(pix, low)).all()
-
-
-class TestBinaryImage:
-    def test_rejects_non_boolean(self):
-        with pytest.raises(ValueError):
-            BinaryImage(np.zeros((2, 2), dtype=np.uint8))
-
-    def test_dimensions(self):
-        img = BinaryImage(np.zeros((2, 4), dtype=bool))
-        assert (img.width, img.height) == (4, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,34 +8,77 @@ from hypothesis.extra import numpy as hnp
 
 import mutation
 import reference
-from tir.imaging import GrayImage, PnmError, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
+import tir
+from tir.edge import BinaryImage
+from tir.imaging import (
+    GrayImage, PnmError, RgbImage, _header_ints, decode_image, load_image, rgb_to_gray, rotate, save_pgm,
+)
 
 gray_pixels = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16)
 )
 
+RASTERS = [GrayImage, RgbImage, BinaryImage]
 
-class TestGrayImage:
-    def test_dimensions(self):
-        img = GrayImage(np.zeros((3, 5), dtype=np.uint8))
+
+def _grid(cls, height: int, width: int, value=0, dtype=None) -> np.ndarray:
+    """A `height` x `width` pixel grid of `cls`'s shape, filled with `value`."""
+    shape = (height, width, 3) if cls is RgbImage else (height, width)
+    return np.full(shape, value, dtype=dtype or (bool if cls is BinaryImage else np.uint8))
+
+
+class TestRasterTypes:
+    @pytest.mark.parametrize("cls", RASTERS)
+    def test_dimensions(self, cls):
+        img = cls(_grid(cls, 3, 5))
         assert (img.width, img.height) == (5, 3)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            GrayImage(np.zeros((0, 4), dtype=np.uint8))
+    @pytest.mark.parametrize("cls", RASTERS)
+    @pytest.mark.parametrize("height, width", [(0, 4), (4, 0)])
+    def test_rejects_empty(self, cls, height, width):
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            cls(_grid(cls, height, width))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            GrayImage(np.array([[0, 300]]))
+    @pytest.mark.parametrize("cls", [GrayImage, RgbImage])
+    @pytest.mark.parametrize("value", [-1, 300])
+    def test_rejects_out_of_range(self, cls, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 255\]"):
+            cls(_grid(cls, 1, 2, value, np.int64))
 
-    def test_rejects_floats(self):
+    @pytest.mark.parametrize("cls", RASTERS)
+    def test_rejects_floats(self, cls):
         with pytest.raises(ValueError):
-            GrayImage(np.zeros((2, 2), dtype=np.float64))
+            cls(_grid(cls, 2, 2, dtype=np.float64))
 
-    def test_pixels_read_only(self):
-        img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+    @pytest.mark.parametrize("cls, pixels", [
+        (GrayImage, np.zeros((2, 2, 3), dtype=np.uint8)),
+        (RgbImage, np.zeros((2, 2), dtype=np.uint8)),
+        (RgbImage, np.zeros((2, 2, 4), dtype=np.uint8)),
+        (BinaryImage, np.zeros((2, 2, 1), dtype=bool)),
+        (BinaryImage, np.zeros((2, 2), dtype=np.uint8)),
+    ])
+    def test_rejects_a_grid_of_another_kind(self, cls, pixels):
+        with pytest.raises(ValueError, match="grid"):
+            cls(pixels)
+
+    @pytest.mark.parametrize("cls", RASTERS)
+    def test_pixels_read_only(self, cls):
+        img = cls(_grid(cls, 2, 2))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+        with pytest.raises(AttributeError):
+            img.pixels = _grid(cls, 2, 2)
+
+    def test_raster_types_are_siblings(self):
+        for cls in RASTERS:
+            assert [other for other in RASTERS if issubclass(cls, other)] == [cls]
+            assert getattr(tir, cls.__name__) is cls
+        shared = set.intersection(*(set(cls.__mro__[1:]) for cls in RASTERS)) - {object}
+        assert not shared & {v for v in vars(tir).values() if isinstance(v, type)}  # none is exported
+
+    def test_real_intensities_round_half_to_even_and_clamp(self):
+        img = GrayImage.from_real(np.array([[-3.0, 0.5, 1.5, 2.5, 254.6, 255.5, 1e300]]))
+        assert img.pixels.tolist() == [[0, 0, 2, 2, 255, 255, 255]]
 
 
 def _pnm_bytes(spec) -> bytes:
@@ -178,6 +223,46 @@ class TestLoadImage:
         except PnmError:
             return
         assert isinstance(image, (GrayImage, RgbImage))
+
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), min_size=1, max_size=3)
+                .map(b"".join),
+                st.tuples(st.binary(max_size=6), st.sampled_from([b"\n", b"\r", b""]))
+                .map(lambda c: b"#" + c[0].replace(b"\n", b"").replace(b"\r", b"") + c[1]),
+                st.text("0123456789", min_size=1, max_size=25).map(str.encode),
+                st.sampled_from([b"x", b"-1", b"+1", b"1e2", b"12a", b"\xff", b"\x00", "\u0663".encode()]),
+            ),
+            max_size=10,
+        ),
+        count=st.integers(1, 4),
+    )
+    @example(pieces=[b"1", b"#", b"2", b"\r", b"3"], count=3)
+    @example(pieces=[b"9" * 19], count=1)
+    @settings(max_examples=500, deadline=None)
+    def test_header_fields_match_a_byte_class_tokenizer(self, pieces, count):
+        data = b"P5" + b"".join(pieces)
+        expected = reference.pnm_header_ints(data, 2, count)
+        if isinstance(expected, str):
+            with pytest.raises(PnmError) as exc:
+                _header_ints(data, 2, count)
+            assert str(exc.value) == expected
+        else:
+            assert _header_ints(data, 2, count) == expected
+
+    def test_long_header_gap_decodes_in_bounded_memory(self):
+        # 2*10^5 bytes of whitespace runs and comments between the magic and the width.
+        unit = b" \t" * 20 + b"\n# a comment\r" + b"\x0b\x0c\r\n" + b"#\n"
+        data = b"P5" + unit * (200_000 // len(unit)) + b"1 1\n255\n\x07"
+        tracemalloc.start()
+        try:
+            image = decode_image(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image.pixels.tolist() == [[7]]
+        assert peak < 1 << 20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -477,12 +477,23 @@ class TestDigestSidecar:
         with pytest.raises(IndexFormatError, match="line 5: not valid UTF-8"):
             load_index(tmp_path / "db.tsv", with_digests=True)
 
-    @pytest.mark.parametrize("digests", [["0" * 64], ["A" * 64] * 3, ["0" * 63] * 3, [b"0" * 64] * 3])
-    def test_database_rejects_malformed_digests(self, reuse_dataset, digests):
-        root, _ = reuse_dataset
-        db = load_index(root / "db.tsv")
-        with pytest.raises(ValueError, match="digest"):
-            FeatureDatabase(db.records, db.extraction_config, digests=digests)
+
+class TestReadOnlyColumns:
+    @pytest.mark.parametrize("source", ["loaded", "built", "selected", "from records"])
+    @pytest.mark.parametrize("column", ["record_ids", "corner_counts", "hu", "log_hu"])
+    def test_writing_into_a_column_raises(self, built, source, column):
+        _, _, db, out = built
+        columns = {
+            "loaded": lambda: load_index(out).columns,
+            "built": lambda: db.columns,
+            "selected": lambda: db.columns.select(np.array([True, False, True])),
+            "from records": lambda: FeatureDatabase(db.records, db.extraction_config).columns,
+        }[source]()
+        array = getattr(columns, column)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 999
+        assert np.array_equal(array, before)
 
 
 class TestPersistence:
