@@ -30,8 +30,6 @@ from .index import ExtractionConfig, build_index, load_index, query, read_manife
 from .matching import ThresholdConfig
 from .parallel import usable_cpus
 
-_MODES = {"hybrid": EvalMode.HYBRID, "corner": EvalMode.CORNER_ONLY, "moments": EvalMode.MOMENTS_ONLY}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports usage errors on exit code 1."""
@@ -42,21 +40,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _ascii_int(text: str, expected: str, sign: str = "") -> int:
+    # At most 18 ASCII digits after `sign`: int() also takes "1_0", " 7 ", "+5", "\u0663", and fails past 4300.
+    digits = text.removeprefix(sign)
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    if len(digits) > 18:
+        raise argparse.ArgumentTypeError(f"expected {expected} of at most 18 digits, got {len(digits)} digits")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    # ASCII digits only: int() would also take "1_0", " 7 ", "+5" and "\u0663".
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    value = int(text)
+    value = _ascii_int(text, "an integer >= 1")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _integer(text: str) -> int:
-    # ASCII digits after an optional '-'; the settings check the range.
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    return _ascii_int(text, "an integer", sign="-")  # the settings check the range
 
 
 def _real(text: str) -> float:
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--db", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--root", required=True)
-    p_eval.add_argument("--mode", required=True, choices=sorted(_MODES))
+    p_eval.add_argument("--mode", required=True, choices=sorted(m.value for m in EvalMode))
     p_eval.add_argument("--out", required=True, help="output CSV path")
     p_eval.add_argument("--top", type=_positive_int, default=6, metavar="K")
     p_eval.add_argument("--exclude-self", action="store_true",
@@ -173,7 +175,7 @@ def _cmd_eval(args, config: ThresholdConfig) -> int:
     indexed = set(db.digests or ())
     reused = sum(digest in indexed for digest in queries.digests)
     # The mode goes by keyword: perfbench/tracing.py names the eval span from args[3] or kwargs["mode"].
-    report = evaluate(db, queries, mode=_MODES[args.mode], threshold_cfg=config, k=args.top,
+    report = evaluate(db, queries, mode=EvalMode(args.mode), threshold_cfg=config, k=args.top,
                       exclude_self=args.exclude_self)
     emit_pr_csv(report, args.out)
     print(

@@ -21,8 +21,8 @@ indexing, querying, evaluating and saving read the columns.
 
 Each record-line rule is written once, as a check over a whole chunk. When a
 chunk fails, load_index runs the same checks on its lines one at a time and
-names the first line that fails. A file that is not valid UTF-8 fails naming
-the line of its first bad byte, in a database and in a manifest alike.
+names the first line that fails. The database, its sidecar and manifests share
+one UTF-8 line reader and one line writer, which replaces a file whole.
 
 Image digests sidecar (`<db>.digests`, ASCII, LF line endings), which
 save_index writes after the database when the database carries the sha256
@@ -205,13 +205,36 @@ class Manifest:
         object.__setattr__(self, "entries", entries)
 
 
-def _decode_utf8(data: bytes, path) -> str:
-    """`data`, read from `path`, as text; a byte that is not UTF-8 fails naming its line."""
+def _text_lines(data: bytes, path) -> list[str]:
+    """The LF-ended lines of `data`, read from `path`, in strict UTF-8: a bad byte fails naming its line."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise IndexFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
+    lines = text.split("\n")  # not text.removesuffix(), which would copy the whole text
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _write_lines(path, lines: list[str]) -> bytes:
+    """Write `lines` in UTF-8, an LF after each, to a new file beside `path`, renamed over it; return the bytes.
+
+    Readers see the old file or the new one, never a partial write; a failed
+    write leaves the old file as it was and removes the new one.
+    """
+    data = "\n".join([*lines, ""]).encode("utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            out.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return data
 
 
 def _skipped(line: str) -> bool:
@@ -227,8 +250,7 @@ def read_manifest(path) -> Manifest:
     CR fails its line.
     """
     entries = []
-    text = _decode_utf8(Path(path).read_bytes(), path)
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+    for lineno, line in enumerate(_text_lines(Path(path).read_bytes().replace(b"\r\n", b"\n"), path), start=1):
         if _skipped(line):
             continue
         if "\r" in line:
@@ -247,7 +269,7 @@ def read_manifest(path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    """Write one `<path><TAB><class_label>` line per entry.
+    """Write one `<path><TAB><class_label>` line per entry, replacing the file whole.
 
     An entry whose line read_manifest would skip as blank or as a comment
     is an error, and nothing is written.
@@ -258,17 +280,18 @@ def write_manifest(manifest: Manifest, path) -> None:
             raise IndexFormatError(
                 f"{path}: manifest entry {entry_path!r} would read back as a blank or comment line"
             )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_lines(path, lines)
 
 
 def extract_features(
-    image: GrayImage,
+    image: GrayImage | RgbImage,
     edge_cfg: EdgeConfig = EdgeConfig(),
     corner_cfg: CornerConfig = CornerConfig(),
 ) -> tuple[int, HuVector]:
-    """Corner count on the edge map plus Hu invariants of the grayscale image.
+    """Corner count on the edge map plus Hu invariants of the image in gray.
 
-    Every stage runs on one crop of `image`: the bounding box of its nonzero
+    An RgbImage is converted to gray first (`rgb_to_gray`). Every stage runs
+    on one crop of the gray image: the bounding box of its nonzero
     pixels, grown by ``corner_cfg.window_radius + 2`` pixels and clipped to
     the image. The results are bit for bit those of the whole image, since
     outside the box every stage sees only zeros:
@@ -288,6 +311,8 @@ def extract_features(
     An all-zero image has no box; it is passed on whole, so `hu_moments`
     raises its DegenerateImageError as before.
     """
+    if isinstance(image, RgbImage):
+        image = rgb_to_gray(image)
     pix = image.pixels
     rows = np.flatnonzero(pix.any(axis=1))
     if len(rows):
@@ -299,13 +324,6 @@ def extract_features(
     return count, hu_moments(image)
 
 
-def _gray_features(image: GrayImage | RgbImage, config: ExtractionConfig) -> tuple[int, HuVector]:
-    """`extract_features` under `config`, after converting an RGB image to gray."""
-    if isinstance(image, RgbImage):
-        image = rgb_to_gray(image)
-    return extract_features(image, config.edge, config.corners)
-
-
 def _read_image_file(path: Path) -> tuple[bytes, str]:
     """The bytes of the image file at `path` and their sha256 hex digest."""
     data = path.read_bytes()
@@ -313,7 +331,7 @@ def _read_image_file(path: Path) -> tuple[bytes, str]:
 
 
 def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[str, int, HuVector]:
-    """The digest of `root / rel_path` and its features, in gray, from one read of the file.
+    """The digest of `root / rel_path` and its features from one read of the file.
 
     The per-image step of `build_index`, the only place tir extracts from
     image files, and the work that map_ordered hands to its workers. The
@@ -321,7 +339,7 @@ def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tupl
     meanwhile cannot pair one version's digest with another's features.
     """
     data, digest = _read_image_file(root / rel_path)
-    return (digest, *_gray_features(decode_image(data), config))
+    return (digest, *extract_features(decode_image(data), config.edge, config.corners))
 
 
 def _entry_error(rel_path: str, exc: BaseException) -> IndexBuildError:
@@ -393,37 +411,27 @@ def build_index(
 
 
 def save_index(db: FeatureDatabase, path) -> None:
-    """Write `db` to `path`, replacing the file whole (see `_replace_file`).
+    """Write `db` to `path`, replacing the file whole (see `_write_lines`).
 
     A database with digests also gets its sidecar `<path>.digests`, written
     after the database and bound to its bytes (see the module docstring).
     """
     cfg = db.extraction_config
-    lines = [
-        f"{FORMAT_TAG}\t{FORMAT_VERSION}",
-        "CFG\tedge_T={}\tkappa={}\tsigma={}\twin={}\tpeak={}\tnms={}".format(
-            cfg.edge.threshold,
-            _fmt_real(cfg.corners.kappa),
-            _fmt_real(cfg.corners.window_sigma),
-            cfg.corners.window_radius,
-            _fmt_real(cfg.corners.peak_rel_threshold),
-            cfg.corners.nms_radius,
-        ),
-    ]
+    settings = [f"{key}={(str if kind is int else _fmt_real)(getattr(getattr(cfg, group), name))}"
+                for key, group, name, kind in _CFG_FIELDS]
+    lines = [f"{FORMAT_TAG}\t{FORMAT_VERSION}", "\t".join(["CFG", *settings])]
     cols = db.columns
     for record_id, record_path, label, count, phi in zip(
         cols.record_ids.tolist(), db.paths, db.labels, cols.corner_counts.tolist(), cols.hu.tolist()
     ):
         lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
     # The old sidecar describes the file about to be replaced: it goes first, so
     # a failed save leaves no sidecar rather than one for other bytes.
     _digests_path(path).unlink(missing_ok=True)
-    _replace_file(Path(path), data)
+    data = _write_lines(path, lines)
     if db.digests is not None:
-        digest_lines = [f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{hashlib.sha256(data).hexdigest()}"]
-        digest_lines += map("{}\t{}".format, cols.record_ids.tolist(), db.digests)
-        _replace_file(_digests_path(path), ("\n".join(digest_lines) + "\n").encode("ascii"))
+        head = f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{hashlib.sha256(data).hexdigest()}"
+        _write_lines(_digests_path(path), [head, *map("{}\t{}".format, cols.record_ids.tolist(), db.digests)])
 
 
 def _digests_path(path) -> Path:
@@ -448,9 +456,7 @@ def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...
     header = data.split(b"\n", 1)[0]
     if header.split(b"\t")[-1] != db_sha256.encode():
         return None
-    lines = _decode_utf8(data, sidecar).split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = _text_lines(data, sidecar)
     if lines[0] != f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}":
         raise IndexFormatError(f"{sidecar}: line 1: expected {DIGESTS_TAG}<TAB>{DIGESTS_VERSION}<TAB><sha256>")
     digests = []
@@ -465,42 +471,33 @@ def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...
     return tuple(digests)
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write `data` to a new file beside `path`, then rename it over `path`.
-
-    Readers see the old file or the new one, never a partial write; a failed
-    write leaves the old file as it was and removes the new one.
-    """
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as out:
-            out.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+# The CFG line, in line order: each key, the ExtractionConfig group and field
+# it holds, and its kind. Stated here rather than read from the dataclasses,
+# so that reordering a config's fields can never change the file format.
+_CFG_FIELDS = (
+    ("edge_T", "edge", "threshold", int),
+    ("kappa", "corners", "kappa", float),
+    ("sigma", "corners", "window_sigma", float),
+    ("win", "corners", "window_radius", int),
+    ("peak", "corners", "peak_rel_threshold", float),
+    ("nms", "corners", "nms_radius", int),
+)
 
 
 def _parse_cfg_line(line: str, path) -> ExtractionConfig:
+    """The ExtractionConfig of a CFG line; every `key=` is checked, then each value in line order."""
     parts = line.split("\t")
-    keys = ("edge_T", "kappa", "sigma", "win", "peak", "nms")
-    if parts[0] != "CFG" or len(parts) != 1 + len(keys):
+    if parts[0] != "CFG" or len(parts) != 1 + len(_CFG_FIELDS):
         raise IndexFormatError(f"{path}: line 2: malformed CFG line")
-    values: dict[str, str] = {}
-    for part, key in zip(parts[1:], keys):
-        prefix = key + "="
-        if not part.startswith(prefix):
+    for part, (key, *_) in zip(parts[1:], _CFG_FIELDS):
+        if not part.startswith(key + "="):
             raise IndexFormatError(f"{path}: line 2: expected {key}=..., got {part!r}")
-        values[key] = part[len(prefix):]
+    settings = {"edge": {}, "corners": {}}
     try:
-        edge_t, win, nms = (_chunk_int64s([values[key]], key)[0] for key in ("edge_T", "win", "nms"))
-        kappa, sigma, peak = (_chunk_reals([values[key]], key)[0] for key in ("kappa", "sigma", "peak"))
-        return ExtractionConfig(
-            edge=EdgeConfig(threshold=edge_t),
-            corners=CornerConfig(
-                kappa=kappa, window_sigma=sigma, window_radius=win, peak_rel_threshold=peak, nms_radius=nms
-            ),
-        )
+        for part, (key, group, name, kind) in zip(parts[1:], _CFG_FIELDS):
+            parse = _chunk_int64s if kind is int else _chunk_reals
+            settings[group][name] = parse([part[len(key) + 1:]], key)[0]
+        return ExtractionConfig(edge=EdgeConfig(**settings["edge"]), corners=CornerConfig(**settings["corners"]))
     except ValueError as exc:
         raise IndexFormatError(f"{path}: line 2: {exc}") from exc
 
@@ -519,6 +516,8 @@ _REAL_CHARS = re.compile(r"[0-9eE.+-]*")
 def _chunk_int64s(tokens: list[str], what: str) -> list[int]:
     if not _COUNTS.fullmatch("\n".join(tokens)):
         raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {tokens[0]!r}")
+    if max(map(len, tokens)) > 19:  # 2**63 has 19 digits; int() and str() refuse thousands
+        raise ValueError(f"{what} must lie in [0, 2**63), got more than 19 digits")
     values = list(map(int, tokens))
     if max(values) >= 2**63:  # the columns are int64
         raise ValueError(f"{what} must lie in [0, 2**63), got {values[0]}")
@@ -573,9 +572,7 @@ def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
     when one is bound to the bytes read here, and are None otherwise.
     """
     data = Path(path).read_bytes()
-    lines = _decode_utf8(data, path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _text_lines(data, path)
     if not lines or not lines[0].startswith(FORMAT_TAG):
         raise IndexFormatError(f"{path}: not a feature database (bad tag line)")
     if "\r" in lines[0]:
@@ -634,6 +631,6 @@ def query(
     """
     if not len(db.columns):
         raise ValueError("cannot query an empty database")
-    count, hu = _gray_features(image, db.extraction_config)
+    count, hu = extract_features(image, db.extraction_config.edge, db.extraction_config.corners)
     candidates = corner_filter(count, db.columns, threshold_cfg)
     return rank_by_moments(hu, candidates, k, query_corner_count=count, log_scale=log_scale)

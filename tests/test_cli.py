@@ -143,6 +143,31 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert f"argument {option}: expected an integer >= 1, got {text!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option, text, kind", [
+        ("query", "--top", "9" * 5000, "an integer >= 1"), ("eval", "--top", "9" * 5000, "an integer >= 1"),
+        ("index", "--jobs", "9" * 5000, "an integer >= 1"), ("eval", "--jobs", "9" * 5000, "an integer >= 1"),
+        ("index", "--nms-radius", "9" * 5000, "an integer"), ("index", "--edge-threshold", "9" * 5000, "an integer"),
+        ("index", "--edge-threshold", "-" + "9" * 5000, "an integer"),
+        ("query", "--band-width", "9" * 5000, "an integer"),
+    ], ids=lambda value: f"{len(value)}-char" if len(value) > 100 else None)
+    def test_integer_of_thousands_of_digits_names_the_option(self, capsys, command, option, text, kind):
+        # int() refuses more than 4300 digits, and argparse would then name the type function and echo them all.
+        with pytest.raises(SystemExit) as exc:
+            run([command, *_REQUIRED[command], option, text])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected {kind} of at most 18 digits, got 5000 digits" in err
+        assert "_positive_int" not in err and "_integer" not in err and "9" * 19 not in err
+
+    @pytest.mark.parametrize("option, field", [("--top", "top"), ("--band-width", "band_width")])
+    def test_integer_option_takes_up_to_18_digits(self, capsys, option, field):
+        args = build_parser().parse_args(["query", *_REQUIRED["query"], option, "9" * 18])
+        assert getattr(args, field) == 10**18 - 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["query", *_REQUIRED["query"], option, "1" + "0" * 18])
+        assert exc.value.code == 1
+        assert f"argument {option}: expected an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["1_0", "\u0663", " 7 "])
     @pytest.mark.parametrize("command, option, kind", [
         ("index", "--edge-threshold", "an integer"), ("index", "--harris-window", "an integer"),
@@ -489,12 +514,14 @@ class TestBenchmarkScriptOptions:
         (["--k", "1_0"], "argument --k: expected an integer >= 1, got '1_0'"),
         (["--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
         (["--angles", "nan"], "argument --angles: expected a comma-separated list of finite angles"),
-    ])
+        (["--k", "9" * 5000], "argument --k: expected an integer >= 1 of at most 18 digits, got 5000 digits"),
+    ], ids=lambda value: f"{len(value[1])}-char" if isinstance(value, list) and len(value[1]) > 100 else None)
     def test_bad_option_is_a_usage_error(self, script_main, monkeypatch, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         monkeypatch.setattr("sys.argv", ["run_benchmark.py", "--out-dir", str(out), *argv])
         with pytest.raises(SystemExit) as exc:
             script_main()
         assert exc.value.code == 1  # a usage error, as in tir; 2 is for data errors
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "_positive_int" not in err
         assert not out.exists()

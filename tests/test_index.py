@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import re
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from tir import index
 from tir.cli import run
 from tir.corners import CornerConfig, corner_count
 from tir.edge import EdgeConfig
-from tir.imaging import GrayImage, RgbImage, load_image, save_pgm
+from tir.imaging import GrayImage, RgbImage, load_image, rgb_to_gray, save_pgm
 from tir.index import (
     ExtractionConfig,
     FeatureDatabase,
@@ -176,6 +177,13 @@ class TestManifestIO:
         with pytest.raises(IndexFormatError, match=r"m\.tsv: line 1: carriage return"):
             read_manifest(tmp_path / "m.tsv")
 
+    @pytest.mark.parametrize("data, lineno", [(b"a.pgm\tx\r", 1), (b"# head\r\n\r\na.pgm\tx\r\nb.pgm\ty\r", 4)])
+    def test_carriage_return_ending_the_file_names_its_line(self, tmp_path, data, lineno):
+        # Only a CR that an LF follows ends a line; one at the very end of the file is inside the last line.
+        (tmp_path / "m.tsv").write_bytes(data)
+        with pytest.raises(IndexFormatError, match=rf"m\.tsv: line {lineno}: carriage return inside a line"):
+            read_manifest(tmp_path / "m.tsv")
+
     @pytest.mark.parametrize("entry", [("#a.pgm", "x"), (" # a.pgm", "x"), (" ", "\u2028")])
     def test_write_refuses_an_entry_that_reads_back_as_skipped(self, tmp_path, entry):
         manifest = Manifest((entry, ("b.pgm", "y")))
@@ -273,6 +281,24 @@ class TestExtractFeatures:
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(DegenerateImageError):
             extract_features(img)
+
+    def test_rgb_image_is_extracted_in_gray(self, built, tmp_path):
+        _, _, db, _ = built
+        pixels = np.zeros((24, 24, 3), np.uint8)
+        pixels[4:19, 6:17] = (200, 90, 30)
+        pixels[9:13, 2:22] = (10, 250, 120)
+        rgb = RgbImage(pixels)
+        gray = rgb_to_gray(rgb)
+        assert not any(np.array_equal(gray.pixels, pixels[..., c]) for c in range(3))
+        cfg = db.extraction_config
+        features = extract_features(gray, cfg.edge, cfg.corners)
+        assert extract_features(rgb, cfg.edge, cfg.corners) == features
+        # query ranks on these features, and build_index's worker extracts them from a P6 file.
+        with mock.patch.object(index, "rank_by_moments", wraps=index.rank_by_moments) as rank:
+            query(db, rgb, k=3)
+        assert (rank.call_args.kwargs["query_corner_count"], rank.call_args.args[0]) == features
+        (tmp_path / "a.ppm").write_bytes(b"P6\n24 24\n255\n" + pixels.tobytes())
+        assert index._image_features(tmp_path, cfg, "a.ppm")[1:] == features
 
 
 class TestBuildIndex:
@@ -516,10 +542,13 @@ class TestPersistence:
         assert loaded.records[0].hu.phi == rec.hu.phi
 
     @pytest.mark.parametrize("stage", ["write", "replace"])
-    def test_failed_save_keeps_old_database(self, built, tmp_path, monkeypatch, stage):
-        _, _, db, _ = built
+    @pytest.mark.parametrize("save", [save_index, write_manifest], ids=["save_index", "write_manifest"])
+    def test_failed_save_keeps_old_database(self, built, tmp_path, monkeypatch, stage, save):
+        _, manifest, db, _ = built
+        old, new = {save_index: (db, FeatureDatabase(db.records[:1], db.extraction_config)),
+                    write_manifest: (manifest, Manifest(manifest.entries[:1]))}[save]
         target = tmp_path / "db.tsv"
-        save_index(db, target)
+        save(old, target)
         before = target.read_bytes()
 
         class FailingFile:
@@ -544,7 +573,7 @@ class TestPersistence:
         else:
             monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
-            save_index(FeatureDatabase(db.records[:1], db.extraction_config), target)
+            save(new, target)
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["db.tsv"]
 
@@ -588,7 +617,15 @@ class TestPersistence:
     @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
     def test_integer_past_the_int_conversion_limit_names_its_line(self, built, tmp_path, field):
         broken = _with_record_field(built[3], tmp_path, field, "9" * 5000)
-        with pytest.raises(IndexFormatError, match="line 3: "):
+        with pytest.raises(IndexFormatError, match=r"line 3: (record_id|corner_count) must lie in \[0, 2\*\*63\)"):
+            load_index(broken)
+
+    def test_cfg_integer_past_the_int_conversion_limit_names_its_line(self, built, tmp_path):
+        lines = built[3].read_text().splitlines()
+        lines[1] = re.sub("win=[0-9]+", "win=" + "9" * 5000, lines[1])
+        broken = tmp_path / "broken.tsv"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IndexFormatError, match=r"line 2: win must lie in \[0, 2\*\*63\), got more than 19"):
             load_index(broken)
 
     @pytest.mark.parametrize("field", [0, 3])  # record_id, corner_count
@@ -619,6 +656,28 @@ class TestPersistence:
         broken = tmp_path / "broken.tsv"
         broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(IndexFormatError, match="line 2: "):
+            load_index(broken)
+
+    def test_cfg_table_holds_every_detector_setting_once(self):
+        # A setting left out of the table would be left out of every database, and read back as its default.
+        held = [(group, name) for _, group, name, _ in index._CFG_FIELDS]
+        settings = [(group.name, f.name) for group in fields(ExtractionConfig) for f in fields(group.default)]
+        assert sorted(held) == sorted(settings)
+        assert len({key for key, *_ in index._CFG_FIELDS}) == len(held)
+
+    def test_cfg_line_is_pinned(self, built):
+        # The table's order and kinds are the file format; a reordered config class must not change them.
+        assert built[3].read_text().split("\n")[1] == (
+            "CFG\tedge_T=30\tkappa=4.0000000000000001e-02\tsigma=1.5000000000000000e+00\twin=2"
+            "\tpeak=1.0000000000000000e-02\tnms=2")
+
+    def test_first_bad_cfg_value_in_line_order_is_named(self, built, tmp_path):
+        # kappa comes before win on the line, so its fault is the one named.
+        lines = built[3].read_text().splitlines()
+        lines[1] = re.sub("win=[0-9]+", "win=x", re.sub("kappa=[^\t]+", "kappa=y", lines[1]))
+        broken = tmp_path / "broken.tsv"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IndexFormatError, match=r"line 2: kappa must be ASCII decimal"):
             load_index(broken)
 
     @pytest.mark.parametrize(
