@@ -40,11 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _shown(text: str) -> str:  # a long value is named by its start and length, not echoed whole
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _ascii_int(text: str, expected: str, sign: str = "") -> int:
     # At most 18 ASCII digits after `sign`: int() also takes "1_0", " 7 ", "+5", "\u0663", and fails past 4300.
     digits = text.removeprefix(sign)
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {_shown(text)}")
     if len(digits) > 18:
         raise argparse.ArgumentTypeError(f"expected {expected} of at most 18 digits, got {len(digits)} digits")
     return int(text)
@@ -68,7 +72,7 @@ def _real(text: str) -> float:
             return float(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a real number, got {_shown(text)}")
 
 
 def _angle_list(text: str) -> list[float]:

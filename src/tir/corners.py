@@ -8,6 +8,7 @@ square window. In the retrieval pipeline the metric runs on the edge map
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,16 @@ class CornerConfig:
             raise ValueError(f"kappa must lie in (0, 0.25), got {self.kappa}")
         if not self.window_sigma > 0.0:
             raise ValueError(f"window_sigma must be positive, got {self.window_sigma}")
-        if not (isinstance(self.window_radius, int) and self.window_radius >= 1):
-            raise ValueError(f"window_radius must be an integer >= 1, got {self.window_radius!r}")
+        # gaussian_kernel divides by 2 * sigma * sigma, which is 0 (all weights NaN) below about 1e-162.
+        if not (math.isfinite(self.window_sigma) and 2.0 * self.window_sigma * self.window_sigma > 0.0):
+            raise ValueError(f"window_sigma must be finite with finite Gaussian weights, got {self.window_sigma}")
+        for name, value in (("window_radius", self.window_radius), ("nms_radius", self.nms_radius)):
+            if not (type(value) is int and value >= 1):  # not a bool, which save_index would write as True
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if value >= 2**63:  # load_index reads the settings as int64
+                raise ValueError(f"{name} must be below 2**63, got {value}")
         if not 0.0 < self.peak_rel_threshold <= 1.0:
             raise ValueError(f"peak_rel_threshold must lie in (0, 1], got {self.peak_rel_threshold}")
-        if not (isinstance(self.nms_radius, int) and self.nms_radius >= 1):
-            raise ValueError(f"nms_radius must be an integer >= 1, got {self.nms_radius!r}")
 
 
 @dataclass(frozen=True)

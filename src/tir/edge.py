@@ -22,7 +22,7 @@ class EdgeConfig:
     threshold: int = 30
 
     def __post_init__(self):
-        if not isinstance(self.threshold, int) or not 0 <= self.threshold <= 255:
+        if type(self.threshold) is not int or not 0 <= self.threshold <= 255:  # not a bool
             raise ValueError(f"threshold must be an integer in [0, 255], got {self.threshold!r}")
 
 

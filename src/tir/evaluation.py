@@ -139,8 +139,6 @@ def evaluate(
     in query order if several fail. An empty query set or a `k` below 1 is a
     ValueError.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if queries.extraction_config != db.extraction_config:
         raise ValueError("query features were extracted under a different config than the database's")
     if not queries.paths:

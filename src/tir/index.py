@@ -31,13 +31,14 @@ of each record's image file, as build_index's databases do:
     line 1:     TIRDIGESTS<TAB>1<TAB><sha256 of the database file's bytes>
     per record: <record_id><TAB><sha256 of the image file's bytes>
 
-Line 1 binds the sidecar to one exact database file; beside any other bytes
-(a crash between the two writes, a database copied over) it is stale and
-ignored. Extraction is deterministic, so an image file whose digest names a
-record has exactly that record's features: `tir eval` loads its database
-with `load_index(..., with_digests=True)` and passes it to build_index as
-`reuse`, which then extracts only the query images the database does not
-hold. `tir query` and a plain load_index never read the sidecar.
+Line 1 alone decides whether the sidecar applies: exactly when it is the line
+above, byte for byte, for the database bytes beside it. Any other sidecar (of
+another version, or beside a database copied or saved over) is ignored, so
+save_index leaves an old one in place. Extraction is deterministic, so an
+image file whose digest names a record has that record's features: `tir eval`
+passes the database it loads with `load_index(..., with_digests=True)` to
+build_index as `reuse`, which extracts only the query images the database
+does not hold. `tir query` and a plain load_index never read the sidecar.
 """
 
 from __future__ import annotations
@@ -414,7 +415,7 @@ def save_index(db: FeatureDatabase, path) -> None:
     """Write `db` to `path`, replacing the file whole (see `_write_lines`).
 
     A database with digests also gets its sidecar `<path>.digests`, written
-    after the database and bound to its bytes (see the module docstring).
+    after the database and bound to its bytes; any other is left in place.
     """
     cfg = db.extraction_config
     settings = [f"{key}={(str if kind is int else _fmt_real)(getattr(getattr(cfg, group), name))}"
@@ -425,9 +426,6 @@ def save_index(db: FeatureDatabase, path) -> None:
         cols.record_ids.tolist(), db.paths, db.labels, cols.corner_counts.tolist(), cols.hu.tolist()
     ):
         lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
-    # The old sidecar describes the file about to be replaced: it goes first, so
-    # a failed save leaves no sidecar rather than one for other bytes.
-    _digests_path(path).unlink(missing_ok=True)
     data = _write_lines(path, lines)
     if db.digests is not None:
         head = f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{hashlib.sha256(data).hexdigest()}"
@@ -443,22 +441,18 @@ def _digests_path(path) -> Path:
 def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...] | None:
     """The record digests in the sidecar of the database at `path`, whose bytes hash to `db_sha256`.
 
-    None when there is no sidecar, or when its line 1 is bound to other
-    database bytes (stale). A sidecar bound to these bytes must hold one
-    `<record_id><TAB><sha256>` line per record, in record order; otherwise
-    it is an IndexFormatError naming its first bad line.
+    None unless line 1 is, byte for byte, this version's header for these
+    bytes. A sidecar that applies holds one `<record_id><TAB><sha256>` line
+    per record, in record order, or is an IndexFormatError naming its first bad line.
     """
     sidecar = _digests_path(path)
     try:
         data = sidecar.read_bytes()
     except FileNotFoundError:
         return None
-    header = data.split(b"\n", 1)[0]
-    if header.split(b"\t")[-1] != db_sha256.encode():
+    if data.split(b"\n", 1)[0] != f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}".encode():
         return None
     lines = _text_lines(data, sidecar)
-    if lines[0] != f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}":
-        raise IndexFormatError(f"{sidecar}: line 1: expected {DIGESTS_TAG}<TAB>{DIGESTS_VERSION}<TAB><sha256>")
     digests = []
     for lineno, (record_id, line) in enumerate(zip(record_ids, lines[1:]), start=2):
         fields = line.split("\t")

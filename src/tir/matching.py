@@ -39,7 +39,7 @@ class ThresholdConfig:
     multiplier: float = 1.5
 
     def __post_init__(self):
-        if not (isinstance(self.band_width, int) and self.band_width >= 1):
+        if not (type(self.band_width) is int and self.band_width >= 1):  # not a bool
             raise ValueError(f"band_width must be an integer >= 1, got {self.band_width!r}")
         if not self.base_threshold > 0.0:
             raise ValueError(f"base_threshold must be positive, got {self.base_threshold}")

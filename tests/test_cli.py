@@ -159,6 +159,17 @@ class TestUsageErrors:
         assert f"argument {option}: expected {kind} of at most 18 digits, got 5000 digits" in err
         assert "_positive_int" not in err and "_integer" not in err and "9" * 19 not in err
 
+    @pytest.mark.parametrize("command, option, text, kind", [
+        ("query", "--top", "-" + "9" * 5000, "an integer >= 1"), ("index", "--nms-radius", "x" * 5000, "an integer"),
+        ("eval", "--multiplier", "x" * 5000, "a real number"),
+    ], ids=lambda value: f"{len(value)}-char" if len(value) > 100 else None)
+    def test_long_malformed_value_is_echoed_by_its_start_and_length(self, capsys, command, option, text, kind):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *_REQUIRED[command], option, text])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected {kind}, got {text[:20]!r}... ({len(text)} characters)\n" in err
+
     @pytest.mark.parametrize("option, field", [("--top", "top"), ("--band-width", "band_width")])
     def test_integer_option_takes_up_to_18_digits(self, capsys, option, field):
         args = build_parser().parse_args(["query", *_REQUIRED["query"], option, "9" * 18])
@@ -229,6 +240,9 @@ class TestUsageErrors:
             (["query", "--band-width", "0"], "band_width must be an integer >= 1"),
             (["query", "--base-threshold", "nan"], "base_threshold must be positive"),
             (["eval", "--multiplier", "1"], "multiplier must exceed 1"),
+            # A value the database could not store back, or one that gives NaN Gaussian weights.
+            (["index", "--harris-sigma", "inf"], "window_sigma must be finite with finite Gaussian weights"),
+            (["index", "--harris-sigma", "1e-200"], "window_sigma must be finite with finite Gaussian weights"),
         ],
     )
     def test_invalid_option_value_exits_1(self, tmp_path, capsys, argv, message):
@@ -378,6 +392,20 @@ class TestDataErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"tir eval: error: {tmp_path / 'db.tsv.digests'}: line 3: ")
         assert not (tmp_path / "pr.csv").exists()
+
+    def test_eval_ignores_a_sidecar_of_another_version(self, indexed, tmp_path, capsys):
+        # Line 1 names these database bytes but version 2: the queries are extracted, and the CSV is the same.
+        root, work = indexed
+        argv = ["eval", "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"), "--mode", "hybrid"]
+        assert run([*argv, "--db", str(work / "db.tsv"), "--out", str(tmp_path / "held.csv")]) == 0
+        assert " reused=9 extracted=0 " in capsys.readouterr().err
+        (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())
+        sidecar = (work / "db.tsv.digests").read_text()
+        assert sidecar.startswith("TIRDIGESTS\t1\t")
+        (tmp_path / "db.tsv.digests").write_text(sidecar.replace("\t1\t", "\t2\t", 1))
+        assert run([*argv, "--db", str(tmp_path / "db.tsv"), "--out", str(tmp_path / "other.csv")]) == 0
+        assert " reused=0 extracted=9 " in capsys.readouterr().err
+        assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
 
     def test_eval_non_utf8_manifest_exits_2(self, indexed, tmp_path, capsys):
         root, work = indexed

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -69,11 +70,24 @@ class TestCornerConfig:
             {"peak_rel_threshold": 0.0},
             {"peak_rel_threshold": 1.1},
             {"nms_radius": 0},
+            # Each of these would be saved in a CFG line that load_index refuses, or gives NaN weights.
+            {"window_radius": True},
+            {"nms_radius": True},
+            {"window_radius": 2**63},
+            {"nms_radius": 2**63},
+            {"window_sigma": math.inf},
+            {"window_sigma": math.nan},
+            {"window_sigma": 1e-200},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             CornerConfig(**kwargs)
+
+    def test_accepts_the_edges_of_the_ranges(self):
+        CornerConfig(window_radius=2**63 - 1, nms_radius=2**63 - 1)
+        with np.errstate(over="ignore"):  # 2 * sigma * sigma is subnormal: off the centre, exp(-inf) = 0
+            assert np.isfinite(gaussian_kernel(2, CornerConfig(window_sigma=1e-160).window_sigma)).all()
 
 
 class TestCornerMetric:

@@ -14,7 +14,7 @@ small_pixels = hnp.arrays(
 
 
 class TestEdgeConfig:
-    @pytest.mark.parametrize("bad", [-1, 256, 1.5, "30"])
+    @pytest.mark.parametrize("bad", [-1, 256, 1.5, "30", True, False])
     def test_rejects_bad_threshold(self, bad):
         with pytest.raises(ValueError):
             EdgeConfig(threshold=bad)

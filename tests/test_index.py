@@ -468,15 +468,38 @@ class TestDigestSidecar:
         assert lines[1:] == [f"{n}\t{d}" for n, d in enumerate(db.digests)]
         assert db.digests[0] == hashlib.sha256((root / db.paths[0]).read_bytes()).hexdigest()
 
-    def test_saving_without_digests_removes_the_old_sidecar(self, reuse_dataset, tmp_path):
+    def test_saving_other_bytes_without_digests_leaves_the_old_sidecar_inapplicable(self, reuse_dataset, tmp_path):
+        # save_index leaves the old sidecar in place; its line 1 names the old bytes only.
         root, _ = reuse_dataset
         db = load_index(root / "db.tsv", with_digests=True)
         save_index(db, tmp_path / "db.tsv")
         save_index(FeatureDatabase(db.records[:1], db.extraction_config), tmp_path / "db.tsv")
-        assert [p.name for p in tmp_path.iterdir()] == ["db.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.digests"]
+        assert (tmp_path / "db.tsv.digests").read_bytes() == (root / "db.tsv.digests").read_bytes()
+        assert load_index(tmp_path / "db.tsv", with_digests=True).digests is None
+
+    def test_saving_the_same_bytes_again_keeps_the_old_sidecar_applicable(self, reuse_dataset, tmp_path):
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv", with_digests=True)
+        save_index(db, tmp_path / "db.tsv")
+        save_index(FeatureDatabase(db.records, db.extraction_config), tmp_path / "db.tsv")  # no digests
+        assert (tmp_path / "db.tsv").read_bytes() == (root / "db.tsv").read_bytes()
+        assert load_index(tmp_path / "db.tsv", with_digests=True).digests == db.digests
+
+    @pytest.mark.parametrize("head", [
+        "TIRDIGESTS\t2\t{}", "TIRDIGESTS\t01\t{}", "tirdigests\t1\t{}", "TIRDIGESTS\t1\t{}\t",
+        "TIRDIGESTS\t1\t{}\r", "TIRDIGESTS 1 {}", "TIRDIGESTS\t1\t\xe9{}",
+    ], ids=["version-2", "version-01", "lower-case-tag", "trailing-tab", "trailing-cr", "spaces", "not-utf8"])
+    def test_sidecar_whose_line_1_is_not_the_exact_header_is_ignored(self, reuse_dataset, tmp_path, head):
+        # Line 1 names these database bytes, but not as this version's header: the sidecar does not apply.
+        root, _ = reuse_dataset
+        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
+        lines = (root / "db.tsv.digests").read_text().splitlines()
+        lines[0] = head.format(lines[0].split("\t")[2])
+        (tmp_path / "db.tsv.digests").write_text("\n".join(lines) + "\n", encoding="latin-1")
+        assert load_index(tmp_path / "db.tsv", with_digests=True).digests is None
 
     @pytest.mark.parametrize("edit, lineno", [
-        (lambda lines: ["TIRDIGESTS\t2\t" + lines[0].split("\t")[2], *lines[1:]], 1),
         (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2),
         (lambda lines: [*lines[:2], lines[2].upper(), *lines[3:]], 3),
         (lambda lines: [*lines[:2], lines[2] + "\r", *lines[3:]], 3),
@@ -541,6 +564,29 @@ class TestPersistence:
         assert loaded.extraction_config == config
         assert loaded.records[0].hu.phi == rec.hu.phi
 
+    @staticmethod
+    def _setting_values(default):
+        """The default, or a wild value of the setting's kind: bools and ints near 2**63, or any float."""
+        if type(default) is int:
+            wild = st.one_of(st.booleans(), st.integers(-2, 300), st.integers(2**63 - 2, 2**63 + 2))
+        else:
+            wild = st.one_of(st.booleans(), st.floats(0.0, 1.0), st.floats(allow_subnormal=True),
+                             st.sampled_from([float("inf"), float("nan"), 5e-324, 1e-200, 1e-160]))
+        return st.one_of(st.just(default), wild)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_config_the_classes_accept_loads_back(self, tmp_path_factory, data):
+        values = [{f.name: data.draw(self._setting_values(f.default), label=f.name) for f in fields(cls)}
+                  for cls in (EdgeConfig, CornerConfig)]
+        try:
+            config = ExtractionConfig(EdgeConfig(**values[0]), CornerConfig(**values[1]))
+        except ValueError:
+            return
+        out = tmp_path_factory.mktemp("cfg") / "db.tsv"
+        save_index(FeatureDatabase((FeatureRecord(0, "a.pgm", "a", 1, HuVector((0.5,) * 7)),), config), out)
+        assert load_index(out).extraction_config == config
+
     @pytest.mark.parametrize("stage", ["write", "replace"])
     @pytest.mark.parametrize("save", [save_index, write_manifest], ids=["save_index", "write_manifest"])
     def test_failed_save_keeps_old_database(self, built, tmp_path, monkeypatch, stage, save):
@@ -549,7 +595,7 @@ class TestPersistence:
                     write_manifest: (manifest, Manifest(manifest.entries[:1]))}[save]
         target = tmp_path / "db.tsv"
         save(old, target)
-        before = target.read_bytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         class FailingFile:
             def __init__(self, path, mode):
@@ -574,8 +620,12 @@ class TestPersistence:
             monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             save(new, target)
-        assert target.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["db.tsv"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        if save is save_index:  # the old database keeps its sidecar, which still applies
+            assert sorted(before) == ["db.tsv", "db.tsv.digests"]
+            assert load_index(target, with_digests=True).digests == db.digests
+        else:
+            assert sorted(before) == ["db.tsv"]
 
     def test_version_gate(self, tmp_path):
         (tmp_path / "db.tsv").write_text("TIRDB\t99\nCFG\n")

@@ -73,7 +73,8 @@ class TestEuclideanDistance:
 
 class TestThresholdConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"band_width": 0}, {"band_width": 1.5}, {"base_threshold": 0.0}, {"multiplier": 1.0}]
+        "kwargs", [{"band_width": 0}, {"band_width": 1.5}, {"band_width": True}, {"base_threshold": 0.0},
+                   {"multiplier": 1.0}]
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
