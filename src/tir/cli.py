@@ -75,6 +75,12 @@ def _real(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a real number, got {_shown(text)}")
 
 
+def _mode(text: str) -> str:  # argparse checks the choices after this, and would echo a long value whole
+    if _shown(text) != repr(text):
+        raise argparse.ArgumentTypeError(f"invalid choice: {_shown(text)}")
+    return text
+
+
 def _angle_list(text: str) -> list[float]:
     try:
         angles = [_real(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
@@ -135,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--db", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--root", required=True)
-    p_eval.add_argument("--mode", required=True, choices=sorted(m.value for m in EvalMode))
+    p_eval.add_argument("--mode", required=True, type=_mode, choices=sorted(m.value for m in EvalMode))
     p_eval.add_argument("--out", required=True, help="output CSV path")
     p_eval.add_argument("--top", type=_positive_int, default=6, metavar="K")
     p_eval.add_argument("--exclude-self", action="store_true",

@@ -8,7 +8,7 @@ square window. In the retrieval pipeline the metric runs on the edge map
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +36,9 @@ class CornerConfig:
     def __post_init__(self):
         if not 0.0 < self.kappa < 0.25:
             raise ValueError(f"kappa must lie in (0, 0.25), got {self.kappa}")
-        if not self.window_sigma > 0.0:
-            raise ValueError(f"window_sigma must be positive, got {self.window_sigma}")
-        # gaussian_kernel divides by 2 * sigma * sigma, which is 0 (all weights NaN) below about 1e-162.
-        if not (math.isfinite(self.window_sigma) and 2.0 * self.window_sigma * self.window_sigma > 0.0):
+        # gaussian_kernel divides by 2 * sigma * sigma, which is 0 (all weights NaN) below about 1e-162;
+        # an int past the largest float would overflow float() below.
+        if not (0.0 < self.window_sigma <= sys.float_info.max and 2.0 * self.window_sigma * self.window_sigma > 0.0):
             raise ValueError(f"window_sigma must be finite with finite Gaussian weights, got {self.window_sigma}")
         for name, value in (("window_radius", self.window_radius), ("nms_radius", self.nms_radius)):
             if not (type(value) is int and value >= 1):  # not a bool, which save_index would write as True
@@ -48,6 +47,8 @@ class CornerConfig:
                 raise ValueError(f"{name} must be below 2**63, got {value}")
         if not 0.0 < self.peak_rel_threshold <= 1.0:
             raise ValueError(f"peak_rel_threshold must lie in (0, 1], got {self.peak_rel_threshold}")
+        for name in ("kappa", "window_sigma", "peak_rel_threshold"):  # as save_index writes them: they load back equal
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class CornerSet:
 def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     """Normalized 2-D Gaussian kernel of size (2*radius+1)^2."""
     d = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(d * d) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # 2 * sigma * sigma may be subnormal: off the centre, exp(-inf) = 0
+        g = np.exp(-(d * d) / (2.0 * sigma * sigma))
     g /= g.sum()
     return np.outer(g, g)
 

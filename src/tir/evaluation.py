@@ -21,7 +21,7 @@ from pathlib import Path
 from .imaging import RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
-from .matching import ThresholdConfig, adaptive_threshold, rank_queries
+from .matching import ThresholdConfig, rank_queries
 from .matching import corner_filter, rank_by_moments  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .parallel import map_ordered  # noqa: F401  not called here; kept for perfbench/tracing.py
 
@@ -155,9 +155,9 @@ def evaluate(
             rows_of.setdefault(path, []).append(row)
         excluded = [rows_of.get(path, []) for path in queries.paths]
     counts = queries.columns.corner_counts
-    windows = None if mode is EvalMode.MOMENTS_ONLY else [adaptive_threshold(c, threshold_cfg) for c in counts.tolist()]
-    log_hu = None if mode is EvalMode.CORNER_ONLY else queries.columns.log_hu
-    ranked, survivors = rank_queries(columns, counts, log_hu, k, windows=windows, excluded=excluded)
+    window = None if mode is EvalMode.MOMENTS_ONLY else threshold_cfg
+    hu_blocks = None if mode is EvalMode.CORNER_ONLY else (queries.columns.log_hu, columns.log_hu)
+    ranked, survivors = rank_queries(columns, counts, hu_blocks, k, threshold_cfg=window, excluded=excluded)
 
     results = []
     for rel_path, label, rows, own in zip(queries.paths, queries.labels, ranked, excluded or repeat([])):

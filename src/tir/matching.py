@@ -6,9 +6,9 @@ count band: Threshold = base_threshold * multiplier^floor(count / band_width),
 a step function that keeps the acceptance window proportional to the count.
 
 Filtering and ranking take `FeatureColumns`, a columnar view of feature
-records, and run as numpy operations over whole columns. One distance
-function and one top-k function serve both a single query
-(`rank_by_moments`) and a block of queries (`rank_queries`).
+records, and run as numpy operations over whole columns. `rank_queries` is
+the one ranking function: it ranks a block of queries, and
+`rank_by_moments` is its one-row case.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def corner_filter(
     config: ThresholdConfig = ThresholdConfig(),
 ) -> FeatureColumns:
     """The rows whose corner count falls in the query's window, in view order."""
-    window = adaptive_threshold(query_count, config)
-    return columns.select(window.contains(columns.corner_counts))
+    rows = np.flatnonzero(adaptive_threshold(query_count, config).contains(columns.corner_counts))
+    return FeatureColumns(columns.record_ids.take(rows), columns.corner_counts.take(rows),
+                          columns.hu.take(rows, axis=0), columns.log_hu.take(rows, axis=0))
 
 
 def log_magnitude(values: Iterable[float]) -> tuple[float, ...]:
@@ -169,14 +170,6 @@ class FeatureColumns:
     def __len__(self) -> int:
         return len(self.record_ids)
 
-    def select(self, mask: np.ndarray) -> "FeatureColumns":
-        """The rows where the boolean `mask` is true, in view order."""
-        rows = np.flatnonzero(mask)  # one index array for all four columns
-        return FeatureColumns(
-            self.record_ids.take(rows), self.corner_counts.take(rows),
-            self.hu.take(rows, axis=0), self.log_hu.take(rows, axis=0),
-        )
-
 
 def moment_distances(query_vectors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(queries x rows) Euclidean distances between the rows of two (., 7) float64 blocks.
@@ -211,20 +204,20 @@ def _top_k(keys: np.ndarray, record_ids: np.ndarray, k: int, valid: np.ndarray) 
 def rank_queries(
     columns: FeatureColumns,
     query_counts: np.ndarray,
-    query_log_hu: np.ndarray | None,
+    hu_blocks: tuple[np.ndarray, np.ndarray] | None,
     k: int,
     *,
-    windows: Sequence[ThresholdWindow] | None = None,
+    threshold_cfg: ThresholdConfig | None = None,
     excluded: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Each query's top-k rows of `columns`, and how many rows it ranked.
 
-    Query i ranks the rows whose corner count lies in `windows[i]` (every row
-    when `windows` is None), less the rows `excluded[i]`. It orders them by
-    distance from `query_log_hu[i]` over the log-scaled invariants or, when
-    `query_log_hu` is None, by |count difference| from `query_counts[i]`;
-    ties break on record_id. The queries are ranked BLOCK_CELLS cells at a
-    time.
+    Query i ranks the rows in the window `adaptive_threshold(query_counts[i],
+    threshold_cfg)` (every row when `threshold_cfg` is None), less the rows
+    `excluded[i]`. It orders them by distance between row i of the query
+    block and the record block, the pair `hu_blocks` on one scale, or, when
+    `hu_blocks` is None, by |count difference|; ties break on record_id.
+    The queries are ranked BLOCK_CELLS cells at a time.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -235,17 +228,18 @@ def rank_queries(
     for start in range(0, len(query_counts), step):
         block = slice(start, start + step)
         counts = query_counts[block]
-        if windows is None:
+        if threshold_cfg is None:
             valid = np.ones((len(counts), n), dtype=bool)
         else:
-            lo, hi = np.array([(w.min_t, w.max_t) for w in windows[block]], dtype=np.float64).T
+            windows = [adaptive_threshold(c, threshold_cfg) for c in counts.tolist()]
+            lo, hi = np.array([(w.min_t, w.max_t) for w in windows], dtype=np.float64).T
             valid = (lo[:, None] <= columns.corner_counts) & (columns.corner_counts <= hi[:, None])
         for i, rows in enumerate(excluded[block] if excluded is not None else ()):
             valid[i, rows] = False
-        if query_log_hu is None:
+        if hu_blocks is None:
             keys = np.abs(columns.corner_counts - counts[:, None])
         else:
-            keys = moment_distances(query_log_hu[block], columns.log_hu)
+            keys = moment_distances(hu_blocks[0][block], hu_blocks[1])
         survivors[block] = valid.sum(axis=1)
         ranked += _top_k(keys, columns.record_ids, k, valid)
     return ranked, survivors
@@ -259,19 +253,16 @@ def rank_by_moments(
     query_corner_count: int | None = None,
     log_scale: bool = True,
 ) -> list[RankedMatch]:
-    """Top-k candidates by ascending moment distance; ties break on record_id.
+    """Top-k candidates by ascending moment distance, ties on record_id: one windowless `rank_queries` row.
 
     Distances are Euclidean over log-scaled invariants unless `log_scale` is
     off. `query_corner_count`, when given, fills each match's
     corner_difference for inspection.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     query_vec = log_magnitude_array(query_hu.as_array()) if log_scale else query_hu.as_array()
-    distances = moment_distances(query_vec[None], columns.log_hu if log_scale else columns.hu)
-    [rows] = _top_k(distances, columns.record_ids, k, np.ones(distances.shape, dtype=bool))
-    differences = [0] * len(rows)
-    if query_corner_count is not None:
-        differences = np.abs(columns.corner_counts[rows] - query_corner_count).tolist()
-    ids, row_distances = columns.record_ids[rows].tolist(), distances[0, rows].tolist()
-    return [RankedMatch(*match) for match in zip(ids, differences, row_distances)]
+    vectors = columns.log_hu if log_scale else columns.hu
+    [rows], _ = rank_queries(columns, np.zeros(1, dtype=np.int64), (query_vec[None], vectors), k)  # count unread
+    differences = (np.abs(columns.corner_counts[rows] - query_corner_count).tolist()
+                   if query_corner_count is not None else [0] * len(rows))
+    distances = moment_distances(query_vec[None], vectors[rows])[0].tolist()  # cell by cell: the ranking's bits
+    return [RankedMatch(*match) for match in zip(columns.record_ids[rows].tolist(), differences, distances)]

@@ -117,6 +117,12 @@ class TestUsageErrors:
                  "--mode", "psychic", "--out", "o"])
         assert exc.value.code == 1
 
+    def test_long_bad_mode_is_named_by_its_start_and_length(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", *_REQUIRED["eval"], "--mode", "x" * 300])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f"argument --mode: invalid choice: {'x' * 20!r}... (300 characters)\n")
+
     def test_bad_angle_list_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["gen-rotations", "--manifest", "m", "--root", "r", "--angles", "abc",

@@ -84,10 +84,19 @@ class TestCornerConfig:
         with pytest.raises(ValueError):
             CornerConfig(**kwargs)
 
+    @pytest.mark.filterwarnings("error")
     def test_accepts_the_edges_of_the_ranges(self):
         CornerConfig(window_radius=2**63 - 1, nms_radius=2**63 - 1)
-        with np.errstate(over="ignore"):  # 2 * sigma * sigma is subnormal: off the centre, exp(-inf) = 0
-            assert np.isfinite(gaussian_kernel(2, CornerConfig(window_sigma=1e-160).window_sigma)).all()
+        # 2 * sigma * sigma is subnormal: off the centre, exp(-inf) = 0, and no overflow warning.
+        assert np.isfinite(gaussian_kernel(2, CornerConfig(window_sigma=1e-160).window_sigma)).all()
+
+    def test_real_settings_are_stored_as_floats(self):
+        # save_index writes float(value), so an int that no float holds would load back unequal.
+        config = CornerConfig(window_sigma=2**53 + 1, peak_rel_threshold=True)
+        assert (config.window_sigma, config.peak_rel_threshold) == (2.0**53, 1.0)
+        assert type(config.window_sigma) is float and type(config.peak_rel_threshold) is float
+        with pytest.raises(ValueError, match="window_sigma must be finite"):
+            CornerConfig(window_sigma=10**400)
 
 
 class TestCornerMetric:

@@ -32,7 +32,7 @@ from tir.index import (
     save_index,
     write_manifest,
 )
-from tir.matching import FeatureColumns, ThresholdConfig
+from tir.matching import FeatureColumns, ThresholdConfig, corner_filter
 from tir.moments import DegenerateImageError, HuVector, hu_moments
 from tir.shapes import benchmark_shapes, square_scene
 
@@ -535,7 +535,7 @@ class TestReadOnlyColumns:
         columns = {
             "loaded": lambda: load_index(out).columns,
             "built": lambda: db.columns,
-            "selected": lambda: db.columns.select(np.array([True, False, True])),
+            "selected": lambda: corner_filter(int(db.columns.corner_counts[0]), db.columns),
             "from records": lambda: FeatureDatabase(db.records, db.extraction_config).columns,
         }[source]()
         array = getattr(columns, column)
@@ -566,12 +566,14 @@ class TestPersistence:
 
     @staticmethod
     def _setting_values(default):
-        """The default, or a wild value of the setting's kind: bools and ints near 2**63, or any float."""
+        """The default, or a wild value of the setting's kind: bools and ints near 2**63, or any float or int
+        (one that no float holds exactly, or none holds at all)."""
         if type(default) is int:
             wild = st.one_of(st.booleans(), st.integers(-2, 300), st.integers(2**63 - 2, 2**63 + 2))
         else:
             wild = st.one_of(st.booleans(), st.floats(0.0, 1.0), st.floats(allow_subnormal=True),
-                             st.sampled_from([float("inf"), float("nan"), 5e-324, 1e-200, 1e-160]))
+                             st.sampled_from([float("inf"), float("nan"), 5e-324, 1e-200, 1e-160]),
+                             st.integers(-2, 2**60), st.sampled_from([2**53 + 1, 10**400]))
         return st.one_of(st.just(default), wild)
 
     @settings(max_examples=300, deadline=None)

@@ -78,28 +78,31 @@ def test_query_matches_reference(scenario):
     assert triples(got) == reference.rank(hu, survivors, k, query_count=count, log_scale=log_scale)
 
 
-def reference_ids(mode, count, hu, candidates, k, cfg):
+def reference_ids(mode, count, hu, candidates, k, cfg, log_scale=True):
     """The record ids one query retrieves from `candidates` in `mode`, and how many records it ranks."""
     survivors = reference.in_window(candidates, count, window_args(cfg))
     if mode is EvalMode.CORNER_ONLY:
         return reference.corner_rank(count, survivors, k), len(survivors)
     ranked = survivors if mode is EvalMode.HYBRID else candidates
-    return [rid for rid, _, _ in reference.rank(hu, ranked, k)], len(ranked)
+    return [rid for rid, _, _ in reference.rank(hu, ranked, k, log_scale=log_scale)], len(ranked)
 
 
 @given(scenarios(queries=5))
 @settings(max_examples=150, deadline=None)
 def test_rank_queries_matches_reference(scenario):
-    # Every query of the block has its own row mask.
-    db, counts, hus, k, cfg, _, keeps = scenario
+    # Every query of the block has its own row mask. The Hu blocks are on the drawn scale, log or raw.
+    db, counts, hus, k, cfg, log_scale, keeps = scenario
     columns = db.columns
     excluded = [np.flatnonzero(~keep) for keep in keeps]
+    query_hu = np.array([hu.phi for hu in hus])
+    scaled = (matching.log_magnitude_array(query_hu), columns.log_hu) if log_scale else (query_hu, columns.hu)
     for mode in EvalMode:
-        windows = None if mode is EvalMode.MOMENTS_ONLY else [matching.adaptive_threshold(c, cfg) for c in counts]
-        log_hu = None if mode is EvalMode.CORNER_ONLY else matching.log_magnitude_array(
-            np.array([hu.phi for hu in hus]))
-        ranked, survivors = rank_queries(columns, np.array(counts), log_hu, k, windows=windows, excluded=excluded)
-        expected = [reference_ids(mode, count, hu, [r for r, kept in zip(db.records, keep) if kept], k, cfg)
+        window = None if mode is EvalMode.MOMENTS_ONLY else cfg
+        hu_blocks = None if mode is EvalMode.CORNER_ONLY else scaled
+        ranked, survivors = rank_queries(columns, np.array(counts), hu_blocks, k, threshold_cfg=window,
+                                         excluded=excluded)
+        expected = [reference_ids(mode, count, hu, [r for r, kept in zip(db.records, keep) if kept], k, cfg,
+                                  log_scale)
                     for count, hu, keep in zip(counts, hus, keeps)]
         assert [columns.record_ids[rows].tolist() for rows in ranked] == [ids for ids, _ in expected], mode
         assert survivors.tolist() == [n for _, n in expected], mode
