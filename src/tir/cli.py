@@ -22,6 +22,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from functools import partial
 
+from ._shown import shown
 from .corners import CornerConfig
 from .edge import EdgeConfig
 from .evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
@@ -40,15 +41,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _shown(text: str) -> str:  # a long value is named by its start and length, not echoed whole
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
 def _ascii_int(text: str, expected: str, sign: str = "") -> int:
     # At most 18 ASCII digits after `sign`: int() also takes "1_0", " 7 ", "+5", "\u0663", and fails past 4300.
     digits = text.removeprefix(sign)
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {shown(text)}")
     if len(digits) > 18:
         raise argparse.ArgumentTypeError(f"expected {expected} of at most 18 digits, got {len(digits)} digits")
     return int(text)
@@ -72,12 +69,12 @@ def _real(text: str) -> float:
             return float(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"expected a real number, got {_shown(text)}")
+    raise argparse.ArgumentTypeError(f"expected a real number, got {shown(text)}")
 
 
 def _mode(text: str) -> str:  # argparse checks the choices after this, and would echo a long value whole
-    if _shown(text) != repr(text):
-        raise argparse.ArgumentTypeError(f"invalid choice: {_shown(text)}")
+    if shown(text) != repr(text):
+        raise argparse.ArgumentTypeError(f"invalid choice: {shown(text)}")
     return text
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shown import shown
 from .edge import BinaryImage, EdgeConfig, prompt_edge
 from .imaging import GrayImage
 
@@ -35,18 +36,18 @@ class CornerConfig:
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 0.25:
-            raise ValueError(f"kappa must lie in (0, 0.25), got {self.kappa}")
+            raise ValueError(f"kappa must lie in (0, 0.25), got {shown(self.kappa, str)}")
         # gaussian_kernel divides by 2 * sigma * sigma, which is 0 (all weights NaN) below about 1e-162;
         # an int past the largest float would overflow float() below.
         if not (0.0 < self.window_sigma <= sys.float_info.max and 2.0 * self.window_sigma * self.window_sigma > 0.0):
-            raise ValueError(f"window_sigma must be finite with finite Gaussian weights, got {self.window_sigma}")
+            raise ValueError(f"window_sigma must be finite with finite Gaussian weights, got {shown(self.window_sigma, str)}")
         for name, value in (("window_radius", self.window_radius), ("nms_radius", self.nms_radius)):
             if not (type(value) is int and value >= 1):  # not a bool, which save_index would write as True
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"{name} must be an integer >= 1, got {shown(value)}")
             if value >= 2**63:  # load_index reads the settings as int64
-                raise ValueError(f"{name} must be below 2**63, got {value}")
+                raise ValueError(f"{name} must be below 2**63, got {shown(value, str)}")
         if not 0.0 < self.peak_rel_threshold <= 1.0:
-            raise ValueError(f"peak_rel_threshold must lie in (0, 1], got {self.peak_rel_threshold}")
+            raise ValueError(f"peak_rel_threshold must lie in (0, 1], got {shown(self.peak_rel_threshold, str)}")
         for name in ("kappa", "window_sigma", "peak_rel_threshold"):  # as save_index writes them: they load back equal
             object.__setattr__(self, name, float(getattr(self, name)))
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shown import shown
 from .imaging import GrayImage, _Raster
 
 
@@ -23,7 +24,7 @@ class EdgeConfig:
 
     def __post_init__(self):
         if type(self.threshold) is not int or not 0 <= self.threshold <= 255:  # not a bool
-            raise ValueError(f"threshold must be an integer in [0, 255], got {self.threshold!r}")
+            raise ValueError(f"threshold must be an integer in [0, 255], got {shown(self.threshold)}")
 
 
 @dataclass(frozen=True, eq=False)

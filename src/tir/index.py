@@ -19,26 +19,49 @@ build_index fills the same columns one row per entry. Any database builds
 its `FeatureRecord` objects only when something asks for `records`;
 indexing, querying, evaluating and saving read the columns.
 
-Each record-line rule is written once, as a check over a whole chunk. When a
-chunk fails, load_index runs the same checks on its lines one at a time and
-names the first line that fails. The database, its sidecar and manifests share
-one UTF-8 line reader and one line writer, which replaces a file whole.
+Each record-line rule is written once, as a check over a whole chunk of
+rows: the text's grammar in `_chunk_int64s`, `_chunk_reals` and
+`_chunk_columns`, the rules on values in `_check_int64s` and `_check_rows`,
+which the column cache's rows pass too. When a chunk fails, load_index runs
+the same checks on its rows one at a time and names the first row that
+fails. The database, its sidecars and manifests share one file writer, which
+replaces a file whole, and the text files one UTF-8 line reader.
 
-Image digests sidecar (`<db>.digests`, ASCII, LF line endings), which
-save_index writes after the database when the database carries the sha256
-of each record's image file, as build_index's databases do:
+save_index writes two sidecars after the database, each bound to the
+database's bytes by its first line. Line 1 alone decides whether a sidecar
+applies: exactly when it is the line shown below, byte for byte, for the
+database bytes beside it. Any other sidecar (of another version, or beside a
+database copied or saved over) is ignored, so save_index leaves an old one in
+place. load_index hashes the database bytes at most once, and only when a
+sidecar of this tag and version is there to check.
+
+Column cache (`<db>.cols`, binary, little-endian), written for every database:
+
+    line 1:     TIRCOLS<TAB>1<TAB><sha256 of the database file's bytes><LF>
+    then:       zero bytes up to the next multiple of 8, so every block below is aligned
+                int64 n, P, L: the record count and the byte lengths of the two text blocks
+                int64 record_ids[n], int64 corner_counts[n]
+                float64 hu[n][7], float64 log_hu[n][7], row by row
+                P bytes: the n paths in UTF-8, joined by LF; L bytes: the n labels, likewise
+
+load_index always checks lines 1-2 of the database text. When a cache
+applies, it takes the columns, paths and labels from it (the arrays are
+read-only views of its bytes); otherwise it parses the record lines, which
+stay the reference. A cache that applies but breaks its layout or a record
+rule is an IndexFormatError naming the cache.
+
+Image digests sidecar (`<db>.digests`, ASCII, LF line endings), written when
+the database carries the sha256 of each record's image file, as build_index's
+databases do:
 
     line 1:     TIRDIGESTS<TAB>1<TAB><sha256 of the database file's bytes>
     per record: <record_id><TAB><sha256 of the image file's bytes>
 
-Line 1 alone decides whether the sidecar applies: exactly when it is the line
-above, byte for byte, for the database bytes beside it. Any other sidecar (of
-another version, or beside a database copied or saved over) is ignored, so
-save_index leaves an old one in place. Extraction is deterministic, so an
-image file whose digest names a record has that record's features: `tir eval`
-passes the database it loads with `load_index(..., with_digests=True)` to
-build_index as `reuse`, which extracts only the query images the database
-does not hold. `tir query` and a plain load_index never read the sidecar.
+Extraction is deterministic, so an image file whose digest names a record has
+that record's features: `tir eval` passes the database it loads with
+`load_index(..., with_digests=True)` to build_index as `reuse`, which extracts
+only the query images the database does not hold. `tir query` and a plain
+load_index never read this sidecar.
 """
 
 from __future__ import annotations
@@ -47,7 +70,7 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -70,6 +93,8 @@ from .parallel import ItemError, map_ordered
 
 FORMAT_TAG = "TIRDB"
 FORMAT_VERSION = 1
+COLS_TAG = "TIRCOLS"
+COLS_VERSION = 1
 DIGESTS_TAG = "TIRDIGESTS"
 DIGESTS_VERSION = 1
 
@@ -219,13 +244,12 @@ def _text_lines(data: bytes, path) -> list[str]:
     return lines
 
 
-def _write_lines(path, lines: list[str]) -> bytes:
-    """Write `lines` in UTF-8, an LF after each, to a new file beside `path`, renamed over it; return the bytes.
+def _write_bytes(path, data: bytes) -> None:
+    """Write `data` to a new file beside `path` and rename it over `path`.
 
     Readers see the old file or the new one, never a partial write; a failed
     write leaves the old file as it was and removes the new one.
     """
-    data = "\n".join([*lines, ""]).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -235,6 +259,12 @@ def _write_lines(path, lines: list[str]) -> bytes:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_lines(path, lines: list[str]) -> bytes:
+    """Write `lines` in UTF-8, an LF after each, with `_write_bytes`; return the bytes."""
+    data = "\n".join([*lines, ""]).encode("utf-8")
+    _write_bytes(path, data)
     return data
 
 
@@ -412,10 +442,13 @@ def build_index(
 
 
 def save_index(db: FeatureDatabase, path) -> None:
-    """Write `db` to `path`, replacing the file whole (see `_write_lines`).
+    """Write `db` to `path`, replacing the file whole (see `_write_bytes`).
 
-    A database with digests also gets its sidecar `<path>.digests`, written
-    after the database and bound to its bytes; any other is left in place.
+    Its column cache `<path>.cols` follows, bound to the bytes just written,
+    and then, for a database with digests, its sidecar `<path>.digests`, bound
+    the same way. An old `<path>.digests` that is not rewritten is left in
+    place, as is an old cache if a write fails: line 1 keeps either from
+    applying to other bytes.
     """
     cfg = db.extraction_config
     settings = [f"{key}={(str if kind is int else _fmt_real)(getattr(getattr(cfg, group), name))}"
@@ -426,31 +459,47 @@ def save_index(db: FeatureDatabase, path) -> None:
         cols.record_ids.tolist(), db.paths, db.labels, cols.corner_counts.tolist(), cols.hu.tolist()
     ):
         lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
-    data = _write_lines(path, lines)
+    db_sha256 = hashlib.sha256(_write_lines(path, lines)).hexdigest()
+    _write_bytes(_sidecar_path(path, "cols"), _cols_bytes(db, db_sha256))
     if db.digests is not None:
-        head = f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{hashlib.sha256(data).hexdigest()}"
-        _write_lines(_digests_path(path), [head, *map("{}\t{}".format, cols.record_ids.tolist(), db.digests)])
+        head = f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}"
+        _write_lines(_sidecar_path(path, "digests"),
+                     [head, *map("{}\t{}".format, cols.record_ids.tolist(), db.digests)])
 
 
-def _digests_path(path) -> Path:
-    """The image-digests sidecar of the database file at `path`."""
+def _sidecar_path(path, kind: str) -> Path:
+    """The sidecar `<path>.<kind>` of the database file at `path`."""
     path = Path(path)
-    return path.with_name(path.name + ".digests")
+    return path.with_name(f"{path.name}.{kind}")
 
 
-def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...] | None:
-    """The record digests in the sidecar of the database at `path`, whose bytes hash to `db_sha256`.
+def _bound_sidecar(sidecar: Path, tag: str, version: int, db_sha256) -> bytes | None:
+    """The bytes of `sidecar` if its line 1 names the database bytes beside it, else None (also if it is absent).
 
-    None unless line 1 is, byte for byte, this version's header for these
-    bytes. A sidecar that applies holds one `<record_id><TAB><sha256>` line
-    per record, in record order, or is an IndexFormatError naming its first bad line.
+    Line 1 names them when it is, byte for byte, `tag<TAB>version<TAB>` and
+    their sha256 hex digest, `db_sha256()`, which is called only when line 1
+    starts with that tag and version.
     """
-    sidecar = _digests_path(path)
     try:
         data = sidecar.read_bytes()
     except FileNotFoundError:
         return None
-    if data.split(b"\n", 1)[0] != f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}".encode():
+    head = f"{tag}\t{version}\t".encode()
+    if not data.startswith(head):
+        return None
+    line1 = head + db_sha256().encode()
+    return data if data.startswith(line1) and data[len(line1):len(line1) + 1] in (b"", b"\n") else None
+
+
+def _read_digests(path, db_sha256, record_ids: list[int]) -> tuple[str, ...] | None:
+    """The record digests in the sidecar of the database at `path`, if it is bound (see `_bound_sidecar`).
+
+    A sidecar that applies holds one `<record_id><TAB><sha256>` line per
+    record, in record order, or is an IndexFormatError naming its first bad line.
+    """
+    sidecar = _sidecar_path(path, "digests")
+    data = _bound_sidecar(sidecar, DIGESTS_TAG, DIGESTS_VERSION, db_sha256)
+    if data is None:
         return None
     lines = _text_lines(data, sidecar)
     digests = []
@@ -463,6 +512,66 @@ def _read_digests(path, db_sha256: str, record_ids: list[int]) -> tuple[str, ...
         raise IndexFormatError(f"{sidecar}: line {len(digests) + 2}: expected one line per record"
                                f" ({len(record_ids)}), got {len(lines) - 1}")
     return tuple(digests)
+
+
+# The column cache's numeric blocks after its sizes, in file order: the
+# FeatureColumns field each holds and the dtype of one record's part of it.
+_COLS_BLOCKS = (
+    ("record_ids", np.dtype("<i8")),
+    ("corner_counts", np.dtype("<i8")),
+    ("hu", np.dtype(("<f8", 7))),
+    ("log_hu", np.dtype(("<f8", 7))),
+)
+_COLS_SIZES = 3  # int64 n, P and L
+
+
+def _cols_bytes(db: FeatureDatabase, db_sha256: str) -> bytes:
+    """The column cache of `db`, bound to the database bytes whose sha256 hex digest is `db_sha256`."""
+    head = f"{COLS_TAG}\t{COLS_VERSION}\t{db_sha256}\n".encode()
+    texts = ["\n".join(db.paths).encode("utf-8"), "\n".join(db.labels).encode("utf-8")]
+    sizes = np.array([len(db.columns), *map(len, texts)], "<i8")
+    blocks = [getattr(db.columns, name).astype(dtype.base, copy=False) for name, dtype in _COLS_BLOCKS]
+    return b"".join([head, bytes(-len(head) % 8), sizes.tobytes(), *(b.tobytes() for b in blocks), *texts])
+
+
+def _check_cached_rows(ids, counts, hu, log_hu, paths, labels, seen_ids) -> None:
+    """The value rules of the database's rows, on rows read from a column cache."""
+    _check_int64s(ids, "record_id")
+    _check_int64s(counts, "corner_count")
+    _check_rows(ids, hu, log_hu, paths, labels, seen_ids)
+
+
+def _cached_columns(cols_file: Path, data: bytes):
+    """The columns, paths and labels in `data`, the bytes of a bound column cache.
+
+    A layout other than the module docstring's, or a row that breaks a value
+    rule, is an IndexFormatError naming `cols_file`.
+    """
+    line_end = data.find(b"\n") + 1  # 0 if line 1 has no LF
+    offset = line_end + -line_end % 8
+    if not line_end or len(data) < offset + 8 * _COLS_SIZES or any(data[line_end:offset]):
+        raise IndexFormatError(f"{cols_file}: no zero padding and sizes after line 1")
+    n, *text_sizes = np.frombuffer(data, "<i8", _COLS_SIZES, offset).tolist()
+    offset += 8 * _COLS_SIZES
+    size = offset + n * sum(dtype.itemsize for _, dtype in _COLS_BLOCKS) + sum(text_sizes)
+    if min(n, *text_sizes) < 0 or len(data) != size:
+        raise IndexFormatError(f"{cols_file}: {len(data)} bytes, where its sizes make {size}")
+    columns = {}
+    for name, dtype in _COLS_BLOCKS:
+        columns[name] = np.frombuffer(data, dtype, n, offset)
+        offset += n * dtype.itemsize
+    paths_end = offset + text_sizes[0]
+    try:
+        paths, labels = (text.decode("utf-8") for text in (data[offset:paths_end], data[paths_end:]))
+    except UnicodeDecodeError:
+        raise IndexFormatError(f"{cols_file}: paths or labels not valid UTF-8") from None
+    paths, labels = (text.split("\n") if text else [] for text in (paths, labels))
+    if len(paths) != n or len(labels) != n:
+        raise IndexFormatError(f"{cols_file}: {len(paths)} paths and {len(labels)} labels for {n} records")
+    rows = (columns["record_ids"].tolist(), columns["corner_counts"].tolist(), columns["hu"], columns["log_hu"],
+            paths, labels)
+    _checked_rows(_check_cached_rows, rows, set(), cols_file, "record", 1)
+    return FeatureColumns(**columns), tuple(paths), tuple(labels)
 
 
 # The CFG line, in line order: each key, the ExtractionConfig group and field
@@ -507,14 +616,19 @@ _COUNTS = re.compile(r"(?:0|[1-9][0-9]*)(?:\n(?:0|[1-9][0-9]*))*")
 _REAL_CHARS = re.compile(r"[0-9eE.+-]*")
 
 
+def _check_int64s(values: list[int], what: str) -> None:
+    """The rule of an int64 column: every value lies in [0, 2**63)."""
+    if values and (min(values) < 0 or max(values) >= 2**63):
+        raise ValueError(f"{what} must lie in [0, 2**63), got {values[0]}")
+
+
 def _chunk_int64s(tokens: list[str], what: str) -> list[int]:
     if not _COUNTS.fullmatch("\n".join(tokens)):
         raise ValueError(f"{what} must be written as 0 or [1-9][0-9]*, got {tokens[0]!r}")
     if max(map(len, tokens)) > 19:  # 2**63 has 19 digits; int() and str() refuse thousands
         raise ValueError(f"{what} must lie in [0, 2**63), got more than 19 digits")
     values = list(map(int, tokens))
-    if max(values) >= 2**63:  # the columns are int64
-        raise ValueError(f"{what} must lie in [0, 2**63), got {values[0]}")
+    _check_int64s(values, what)
     return values
 
 
@@ -524,14 +638,30 @@ def _chunk_reals(tokens: list[str], what: str) -> list[float]:
     return list(map(float, tokens))  # float() still rejects "1e" and "1e5e5"
 
 
-def _chunk_columns(lines: list[str], seen_ids: set[int]):
-    """Record ids, corner counts, Hu rows, paths and labels of one chunk of record lines.
+def _check_rows(ids: list[int], hu: np.ndarray, log_hu: np.ndarray, paths, labels, seen_ids: set[int]) -> None:
+    """The value rules of a block of rows, other than the int64 range; ValueError if any row breaks one.
 
-    These checks are the only statement of the record-line rules. Each runs
-    once over the whole chunk and raises ValueError if any line breaks its
-    rule. The message describes the line's fault when the chunk is that one
-    line, which is how load_index finds and names the first bad line. Ids are
-    added to `seen_ids` only when the whole chunk is good.
+    Ids are added to `seen_ids` only when the whole block is good.
+    """
+    if not (np.isfinite(hu).all() and np.isfinite(log_hu).all()):
+        raise ValueError("invariants must be finite")
+    joined = "".join(paths)
+    if "" in paths or "\t" in joined or "\r" in joined:  # a path holds no LF: lines and the cache split at LF
+        raise ValueError(f"record path must not contain a tab or carriage return or be empty: {paths[0]!r}")
+    if " ".join(labels).split() != labels:  # equal only if every label is one whitespace-free token
+        raise ValueError(f"class label must be a single token: {labels[0]!r}")
+    if len(set(ids)) != len(ids) or not seen_ids.isdisjoint(ids):
+        raise ValueError(f"duplicate record_id {ids[0]}")
+    seen_ids.update(ids)
+
+
+def _chunk_columns(lines: list[str], seen_ids: set[int]):
+    """Record ids, corner counts, Hu and log Hu rows, paths and labels of one chunk of record lines.
+
+    Each check runs once over the whole chunk and raises ValueError if any
+    line breaks its rule. The message describes the line's fault when the
+    chunk is that one line, which is how `_checked_rows` finds and names the
+    first bad line.
     """
     tabs = list(map(str.count, lines, repeat("\t")))
     if tabs.count(10) != len(lines):
@@ -542,31 +672,34 @@ def _chunk_columns(lines: list[str], seen_ids: set[int]):
     hu = np.empty((len(lines), 7))
     for j in range(7):
         hu[:, j] = _chunk_reals(fields[4 + j::11], "Hu invariants")
-    if not np.isfinite(hu).all():
-        raise ValueError("invariants must be finite")
+    log_hu = log_magnitude_array(hu)
     paths, labels = fields[1::11], fields[2::11]
-    if "" in paths or "\r" in "".join(paths):
-        raise ValueError(f"record path must not contain a carriage return or be empty: {paths[0]!r}")
-    if " ".join(labels).split() != labels:  # equal only if every label is one whitespace-free token
-        raise ValueError(f"class label must be a single token: {labels[0]!r}")
-    if len(set(ids)) != len(ids) or not seen_ids.isdisjoint(ids):
-        raise ValueError(f"duplicate record_id {ids[0]}")
-    seen_ids.update(ids)
-    return ids, counts, hu, paths, labels
+    _check_rows(ids, hu, log_hu, paths, labels, seen_ids)
+    return ids, counts, hu, log_hu, paths, labels
 
 
-def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
-    """Load a feature database, verifying the version tag and every record line.
+def _checked_rows(check, rows: tuple, seen_ids: set[int], file, unit: str, first: int):
+    """`check(*rows, seen_ids)` over a block of rows; each part of `rows` holds one entry per row.
 
-    An error names the first bad line. Lines end at LF only, so a CR (as in
-    CRLF endings) is part of a line and fails that line's checks. The
-    records go straight into columns; see the module docstring.
-
-    With `with_digests`, the database's `digests` come from its sidecar file
-    when one is bound to the bytes read here, and are None otherwise.
+    If the block fails, `check` runs again on its rows one at a time, and the
+    first row that fails is named in an IndexFormatError as `<file>: <unit>
+    <number>`, rows being numbered from `first`. If no single row fails, the
+    block's error names the block's range.
     """
-    data = Path(path).read_bytes()
-    lines = _text_lines(data, path)
+    try:
+        return check(*rows, seen_ids)
+    except ValueError as block_error:
+        for row in range(len(rows[0])):
+            try:
+                check(*(part[row:row + 1] for part in rows), seen_ids)
+            except ValueError as exc:
+                raise IndexFormatError(f"{file}: {unit} {first + row}: {exc}") from None
+        last = first + len(rows[0]) - 1
+        raise IndexFormatError(f"{file}: {unit}s {first}-{last}: {block_error}") from None
+
+
+def _parse_head(lines: list[str], path) -> ExtractionConfig:
+    """The ExtractionConfig of a database whose first lines are `lines`, after checking its tag line."""
     if not lines or not lines[0].startswith(FORMAT_TAG):
         raise IndexFormatError(f"{path}: not a feature database (bad tag line)")
     if "\r" in lines[0]:
@@ -578,7 +711,11 @@ def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
         )
     if len(lines) < 2:
         raise IndexFormatError(f"{path}: missing CFG line")
-    config = _parse_cfg_line(lines[1], path)
+    return _parse_cfg_line(lines[1], path)
+
+
+def _parsed_columns(lines: list[str], path):
+    """The columns, paths and labels of the record lines, `lines[2:]`, parsed chunk by chunk."""
     n = len(lines) - 2
     record_ids, corner_counts = np.empty(n, np.int64), np.empty(n, np.int64)
     hu, log_hu = np.empty((n, 7)), np.empty((n, 7))
@@ -587,25 +724,40 @@ def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
     seen_ids: set[int] = set()
     for start in range(0, n, _CHUNK_LINES):
         chunk = lines[2 + start:2 + start + _CHUNK_LINES]
-        try:
-            ids, counts, chunk_hu, chunk_paths, chunk_labels = _chunk_columns(chunk, seen_ids)
-        except ValueError as chunk_error:
-            # The same checks, one line at a time, name the first bad line.
-            for lineno, line in enumerate(chunk, start=start + 3):
-                try:
-                    _chunk_columns([line], seen_ids)
-                except ValueError as exc:
-                    raise IndexFormatError(f"{path}: line {lineno}: {exc}") from None
-            last = start + 2 + len(chunk)
-            raise IndexFormatError(f"{path}: lines {start + 3}-{last}: {chunk_error}") from None
+        ids, counts, chunk_hu, chunk_log_hu, chunk_paths, chunk_labels = _checked_rows(
+            _chunk_columns, (chunk,), seen_ids, path, "line", start + 3)
         rows = slice(start, start + len(chunk))
-        record_ids[rows], corner_counts[rows], hu[rows] = ids, counts, chunk_hu
-        log_hu[rows] = log_magnitude_array(chunk_hu)
+        record_ids[rows], corner_counts[rows], hu[rows], log_hu[rows] = ids, counts, chunk_hu, chunk_log_hu
         paths += chunk_paths
         labels += chunk_labels
-    columns = FeatureColumns(record_ids, corner_counts, hu, log_hu)
-    digests = _read_digests(path, hashlib.sha256(data).hexdigest(), record_ids.tolist()) if with_digests else None
-    return FeatureDatabase._from_columns(columns, tuple(paths), tuple(labels), config, digests)
+    return FeatureColumns(record_ids, corner_counts, hu, log_hu), tuple(paths), tuple(labels)
+
+
+def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
+    """Load a feature database, verifying the version tag and every record line.
+
+    An error names the first bad line. Lines end at LF only, so a CR (as in
+    CRLF endings) is part of a line and fails that line's checks. The
+    records go straight into columns, from the column cache when it is bound
+    to these bytes; see the module docstring.
+
+    With `with_digests`, the database's `digests` come from its sidecar file
+    when one is bound to the bytes read here, and are None otherwise.
+    """
+    data = Path(path).read_bytes()
+    db_sha256 = cache(lambda: hashlib.sha256(data).hexdigest())  # hashed once, if a sidecar is there
+    cols_file = _sidecar_path(path, "cols")
+    cached = _bound_sidecar(cols_file, COLS_TAG, COLS_VERSION, db_sha256)
+    if cached is None:
+        lines = _text_lines(data, path)
+        config = _parse_head(lines, path)
+        columns, paths, labels = _parsed_columns(lines, path)
+    else:
+        head = data[:data.find(b"\n", data.find(b"\n") + 1) + 1] or data  # lines 1-2, or all if fewer
+        config = _parse_head(_text_lines(head, path), path)
+        columns, paths, labels = _cached_columns(cols_file, cached)
+    digests = _read_digests(path, db_sha256, columns.record_ids.tolist()) if with_digests else None
+    return FeatureDatabase._from_columns(columns, paths, labels, config, digests)
 
 
 def query(

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._shown import shown
 from .moments import HuVector
 
 # Added inside the log before scaling; keeps zero invariants finite.
@@ -40,11 +41,11 @@ class ThresholdConfig:
 
     def __post_init__(self):
         if not (type(self.band_width) is int and self.band_width >= 1):  # not a bool
-            raise ValueError(f"band_width must be an integer >= 1, got {self.band_width!r}")
+            raise ValueError(f"band_width must be an integer >= 1, got {shown(self.band_width)}")
         if not self.base_threshold > 0.0:
-            raise ValueError(f"base_threshold must be positive, got {self.base_threshold}")
+            raise ValueError(f"base_threshold must be positive, got {shown(self.base_threshold, str)}")
         if not self.multiplier > 1.0:
-            raise ValueError(f"multiplier must exceed 1, got {self.multiplier}")
+            raise ValueError(f"multiplier must exceed 1, got {shown(self.multiplier, str)}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import reference
 from tir.corners import CornerConfig, CornerSet, corner_count, corner_metric, corner_peaks, gaussian_kernel
 from tir.edge import BinaryImage, EdgeConfig, prompt_edge
 from tir.imaging import GrayImage, rotate
+from tir.matching import ThresholdConfig
 from tir.shapes import benchmark_shapes, square_scene, square_scene_corners
 
 # sha256 over the Harris responses of the 18 benchmark shapes' edge maps, at
@@ -97,6 +99,38 @@ class TestCornerConfig:
         assert type(config.window_sigma) is float and type(config.peak_rel_threshold) is float
         with pytest.raises(ValueError, match="window_sigma must be finite"):
             CornerConfig(window_sigma=10**400)
+
+
+# Every setting refuses these ints; a window setting (ThresholdConfig) has no upper bound, so only the negative ones.
+HUGE_INTS = {"10**5000": 10**5000, "-10**5000": -(10**5000), "10**400": 10**400, "-10**400": -(10**400)}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, f.name, value, id=f"{f.name}={label}")
+    for cls in (EdgeConfig, CornerConfig, ThresholdConfig) for f in fields(cls)
+    for label, value in HUGE_INTS.items() if cls is not ThresholdConfig or value < 0
+])
+def test_a_refused_int_of_any_size_is_named_in_a_short_message(cls, name, value):
+    # str() of an int past 4300 digits raises its own ValueError, which would not name the setting.
+    digits = 5001 if abs(value) > 10**4000 else 401
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got (an|a negative) integer of {digits} digits$"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (EdgeConfig, {"threshold": 256}, "threshold must be an integer in [0, 255], got 256"),
+    (CornerConfig, {"kappa": 0.3}, "kappa must lie in (0, 0.25), got 0.3"),
+    (CornerConfig, {"window_radius": True}, "window_radius must be an integer >= 1, got True"),
+    (CornerConfig, {"nms_radius": 2**63}, f"nms_radius must be below 2**63, got {2**63}"),
+    (CornerConfig, {"window_sigma": -(10**39)},  # 40 digits, the most shown whole
+     f"window_sigma must be finite with finite Gaussian weights, got {-(10**39)}"),
+    (ThresholdConfig, {"band_width": "x" * 41}, f"band_width must be an integer >= 1, got {'x' * 20!r}... (41 characters)"),
+    (ThresholdConfig, {"multiplier": 1}, "multiplier must exceed 1, got 1"),
+], ids=["threshold", "kappa", "window_radius", "nms_radius", "window_sigma", "band_width", "multiplier"])
+def test_messages_show_an_ordinary_value_whole(cls, kwargs, message):
+    with pytest.raises(ValueError) as refused:
+        cls(**kwargs)
+    assert str(refused.value) == message
 
 
 class TestCornerMetric:

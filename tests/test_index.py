@@ -1,7 +1,9 @@
 import hashlib
+import math
 import multiprocessing
 import os
 import re
+import struct
 from dataclasses import fields
 from unittest import mock
 
@@ -474,7 +476,7 @@ class TestDigestSidecar:
         db = load_index(root / "db.tsv", with_digests=True)
         save_index(db, tmp_path / "db.tsv")
         save_index(FeatureDatabase(db.records[:1], db.extraction_config), tmp_path / "db.tsv")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.digests"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.cols", "db.tsv.digests"]
         assert (tmp_path / "db.tsv.digests").read_bytes() == (root / "db.tsv.digests").read_bytes()
         assert load_index(tmp_path / "db.tsv", with_digests=True).digests is None
 
@@ -528,12 +530,14 @@ class TestDigestSidecar:
 
 
 class TestReadOnlyColumns:
-    @pytest.mark.parametrize("source", ["loaded", "built", "selected", "from records"])
+    @pytest.mark.parametrize("source", ["loaded", "parsed", "built", "selected", "from records"])
     @pytest.mark.parametrize("column", ["record_ids", "corner_counts", "hu", "log_hu"])
-    def test_writing_into_a_column_raises(self, built, source, column):
+    def test_writing_into_a_column_raises(self, built, tmp_path, source, column):
         _, _, db, out = built
+        (tmp_path / "parsed.tsv").write_bytes(out.read_bytes())  # without its column cache
         columns = {
             "loaded": lambda: load_index(out).columns,
+            "parsed": lambda: load_index(tmp_path / "parsed.tsv").columns,
             "built": lambda: db.columns,
             "selected": lambda: corner_filter(int(db.columns.corner_counts[0]), db.columns),
             "from records": lambda: FeatureDatabase(db.records, db.extraction_config).columns,
@@ -623,8 +627,8 @@ class TestPersistence:
         with pytest.raises(OSError, match="disk full"):
             save(new, target)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        if save is save_index:  # the old database keeps its sidecar, which still applies
-            assert sorted(before) == ["db.tsv", "db.tsv.digests"]
+        if save is save_index:  # the old database keeps its sidecars, which still apply
+            assert sorted(before) == ["db.tsv", "db.tsv.cols", "db.tsv.digests"]
             assert load_index(target, with_digests=True).digests == db.digests
         else:
             assert sorted(before) == ["db.tsv"]
@@ -809,7 +813,9 @@ class TestFirstBadLine:
         with pytest.raises(IndexFormatError, match=r": line 6: duplicate record_id 1$"):
             load_index(db_file)
 
-    def test_chunk_failing_on_no_single_line_does_not_load(self, built, monkeypatch):
+    def test_chunk_failing_on_no_single_line_does_not_load(self, built, tmp_path, monkeypatch):
+        db_file = tmp_path / "features.tsv"  # without its column cache, so the record lines are parsed
+        db_file.write_bytes(built[3].read_bytes())
         checks = index._chunk_columns
 
         def whole_chunks_fail(lines, seen_ids):
@@ -819,7 +825,7 @@ class TestFirstBadLine:
 
         monkeypatch.setattr(index, "_chunk_columns", whole_chunks_fail)
         with pytest.raises(IndexFormatError, match=r": lines 3-5: a fault of the chunk only$"):
-            load_index(built[3])
+            load_index(db_file)
 
     def test_non_utf8_database_names_its_line(self, tmp_path):
         db_file = _edited_db(tmp_path, {6: (1, "x.pgm")})
@@ -933,6 +939,163 @@ class TestLoaderAgainstPerLineOracle:
         assert len(mutations) > 1, "one edit always makes the database malformed"
         loaded = load_index(db_file)  # edits that undo each other
         assert loaded.records == oracle.records
+
+
+def _cache_file(db_file):
+    return db_file.with_name(db_file.name + ".cols")
+
+
+def _three_records_db(tmp_path):
+    """A saved database of three records, ids 0-2, paths `<id>.pgm`, label `a`, count id, all Hu 1.0."""
+    records = [FeatureRecord(i, f"{i}.pgm", "a", i, HuVector((1.0,) * 7)) for i in range(3)]
+    db_file = tmp_path / "db.tsv"
+    save_index(FeatureDatabase(records, ExtractionConfig()), db_file)
+    return db_file
+
+
+# Byte offsets in the column cache of `_three_records_db`: line 1 is 75 bytes, zero-padded to 80; then the
+# three int64 sizes, and each block of three rows.
+SIZES_AT = 80
+BLOCK_AT = {"record_ids": 104, "corner_counts": 128, "hu": 152, "log_hu": 320}
+
+
+def _packed(fmt, at, value):
+    return lambda data: data[:at] + struct.pack(fmt, value) + data[at + struct.calcsize(fmt):]
+
+
+configs = st.sampled_from([
+    ExtractionConfig(),
+    ExtractionConfig(EdgeConfig(0), CornerConfig(kappa=0.1, window_sigma=1e-100, nms_radius=2**63 - 1)),
+])
+
+
+class TestColumnCache:
+    """`<db>.cols`: what a load reads from it is what the text parse gives; it applies only to its own bytes."""
+
+    @given(record_lists(), configs, st.one_of(st.none(), st.text()), st.sampled_from([1, 2, 1024]))
+    @example(records=(), config=ExtractionConfig(), digest_seed="", chunk=1024)
+    @settings(max_examples=150, deadline=None)
+    def test_loads_bit_equal_to_the_text_parse(self, db_dir, records, config, digest_seed, chunk):
+        db = FeatureDatabase(records, config)
+        if digest_seed is not None:
+            digests = tuple(hashlib.sha256(f"{digest_seed}{i}".encode()).hexdigest() for i in range(len(records)))
+            db = FeatureDatabase._from_columns(db.columns, db.paths, db.labels, config, digests)
+        db_file = db_dir / "cached.tsv"
+        for sidecar in ("cached.tsv.cols", "cached.tsv.digests"):  # an earlier example's, for the same bytes
+            (db_dir / sidecar).unlink(missing_ok=True)
+        save_index(db, db_file)
+        with mock.patch.object(index, "_parsed_columns", side_effect=AssertionError("the text was parsed")):
+            cached = load_index(db_file, with_digests=True)
+        _cache_file(db_file).unlink()
+        with mock.patch.object(index, "_CHUNK_LINES", chunk):
+            parsed = load_index(db_file, with_digests=True)
+        assert _columns_bytes(cached.columns) == _columns_bytes(parsed.columns)
+        assert (cached.paths, cached.labels) == (parsed.paths, parsed.labels) == (db.paths, db.labels)
+        assert cached.extraction_config == parsed.extraction_config == config
+        assert cached.digests == parsed.digests == db.digests
+
+    @pytest.mark.parametrize("field, token, message", [
+        (0, "07", r"line 4: record_id must be written as"),
+        (2, "a b", r"line 4: class label must be a single token"),
+        (4, "nan", r"line 4: Hu invariants must be ASCII"),
+    ])
+    def test_text_changed_after_the_save_is_parsed_and_its_errors_name_their_line(self, tmp_path, field, token,
+                                                                                  message):
+        db_file = _three_records_db(tmp_path)
+        cache = _cache_file(db_file).read_bytes()
+        lines = db_file.read_text().split("\n")
+        parts = lines[3].split("\t")
+        parts[field] = token
+        lines[3] = "\t".join(parts)
+        db_file.write_text("\n".join(lines))
+        with pytest.raises(IndexFormatError, match=rf"^{re.escape(str(db_file))}: {message}"):
+            load_index(db_file)
+        assert _cache_file(db_file).read_bytes() == cache  # stale: its line 1 names the saved bytes
+
+    def test_text_changed_after_the_save_loads_as_written(self, tmp_path):
+        db_file = _three_records_db(tmp_path)
+        db_file.write_text(db_file.read_text().replace("\t1.pgm\ta\t1\t", "\tb.pgm\tb\t9\t"))
+        loaded = load_index(db_file)
+        assert (loaded.paths, loaded.labels, loaded.columns.corner_counts.tolist()) == (
+            ("0.pgm", "b.pgm", "2.pgm"), ("a", "b", "a"), [0, 9, 2])
+
+    def test_cache_of_another_version_is_ignored(self, tmp_path):
+        db_file = _three_records_db(tmp_path)
+        cache = _cache_file(db_file)
+        cache.write_bytes(cache.read_bytes().replace(b"TIRCOLS\t1\t", b"TIRCOLS\t2\t", 1))
+        with mock.patch.object(index, "_cached_columns", side_effect=AssertionError("the cache was read")):
+            assert load_index(db_file).paths == ("0.pgm", "1.pgm", "2.pgm")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:-1], r"509 bytes, where its sizes make 510$"),
+        (lambda data: data + b"\n", r"511 bytes, where its sizes make 510$"),
+        (lambda data: data[:SIZES_AT - 1] + b"\x01" + data[SIZES_AT:], r"no zero padding and sizes after line 1"),
+        (lambda data: data[:SIZES_AT + 8], r"no zero padding and sizes after line 1"),
+        (_packed("<q", SIZES_AT, 1), r"510 bytes, where its sizes make 254$"),
+        (_packed("<q", SIZES_AT + 8, -1), r"510 bytes, where its sizes make 492$"),
+        (_packed("<q", SIZES_AT + 8, 0), r"510 bytes, where its sizes make 493$"),
+        (lambda data: data.replace(b"1.pgm", b"\xff.pgm"), r"paths or labels not valid UTF-8"),
+        (lambda data: data.replace(b"1.pgm\n", b"1.pgm\t"), r"2 paths and 3 labels for 3 records$"),
+        (_packed("<q", BLOCK_AT["record_ids"] + 8, -1), r"record 2: record_id must lie in \[0, 2\*\*63\)"),
+        (_packed("<q", BLOCK_AT["record_ids"] + 16, 0), r"record 3: duplicate record_id 0$"),
+        (_packed("<q", BLOCK_AT["corner_counts"] + 8, -2**63), r"record 2: corner_count must lie in"),
+        (_packed("<d", BLOCK_AT["hu"] + 56 + 48, math.nan), r"record 2: invariants must be finite"),
+        (_packed("<d", BLOCK_AT["log_hu"] + 112, -math.inf), r"record 3: invariants must be finite"),
+        (lambda data: data.replace(b"1.pgm", b"1\tpgm"), r"record 2: record path must not contain a tab"),
+        (lambda data: data.replace(b"2.pgm", b"2.pg\r"), r"record 3: record path must not contain a tab or"),
+        (lambda data: data.replace(b"a\na\na", b"a\n \na"), r"record 2: class label must be a single token"),
+        (lambda data: _packed("<q", SIZES_AT + 16, 8)(data[:-5] + "a\nb\u0085c\na".encode()),  # U+0085 splits
+         r"record 2: class label must be a single token: 'b\\x85c'$"),
+    ], ids=["cut", "extended", "padding", "no-sizes", "n", "negative-size", "block-lengths", "not-utf8",
+            "path-count", "negative-id", "duplicate-id", "negative-count", "nan-hu", "inf-log-hu", "tab-in-path",
+            "cr-in-path", "blank-label", "two-token-label"])
+    def test_bound_cache_breaking_its_layout_or_a_record_rule_is_an_error(self, tmp_path, edit, message):
+        # A record that breaks a rule is named by its row.
+        db_file = _three_records_db(tmp_path)
+        cache = _cache_file(db_file)
+        cache.write_bytes(edit(cache.read_bytes()))
+        with pytest.raises(IndexFormatError, match=rf"^{re.escape(str(cache))}: {message}"):
+            load_index(db_file)
+
+    def test_save_failing_after_the_text_leaves_a_stale_cache(self, tmp_path, monkeypatch):
+        db_file = _three_records_db(tmp_path)
+        old_cache = _cache_file(db_file).read_bytes()
+        replace = os.replace
+
+        def cache_replace_fails(src, dst):
+            if str(dst).endswith(".cols"):
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", cache_replace_fails)
+        records = [FeatureRecord(7, "new.pgm", "b", 5, HuVector((2.0,) * 7))]
+        with pytest.raises(OSError, match="disk full"):
+            save_index(FeatureDatabase(records, ExtractionConfig()), db_file)
+        assert _cache_file(db_file).read_bytes() == old_cache
+        assert load_index(db_file).records == tuple(records)
+
+    def test_a_load_hashes_the_database_once_and_only_beside_a_sidecar(self, reuse_dataset, tmp_path):
+        root, _ = reuse_dataset
+        for name in ("db.tsv", "db.tsv.cols", "db.tsv.digests"):
+            (tmp_path / name).write_bytes((root / name).read_bytes())
+        hashes = []
+        for cols in (True, False):
+            if not cols:
+                (tmp_path / "db.tsv.cols").unlink()
+            for with_digests in (True, False):
+                with mock.patch.object(index.hashlib, "sha256", wraps=hashlib.sha256) as sha256:
+                    load_index(tmp_path / "db.tsv", with_digests=with_digests)
+                hashes.append(sha256.call_count)
+        assert hashes == [1, 1, 1, 0]
+
+    def test_truncated_cache_is_exit_code_2(self, built, tmp_path, capsys):
+        root, manifest, _, out = built
+        for name in (out.name, out.name + ".cols"):
+            (tmp_path / name).write_bytes((out.parent / name).read_bytes())
+        cache = tmp_path / (out.name + ".cols")
+        cache.write_bytes(cache.read_bytes()[:-1])
+        assert run(["query", "--db", str(tmp_path / out.name), "--image", str(root / manifest.entries[0][0])]) == 2
+        assert capsys.readouterr().err.startswith(f"tir query: error: {cache}: ")
 
 
 class TestLoadedDatabaseBuildsNoRecords:
