@@ -175,8 +175,10 @@ def _cmd_query(args, config: ThresholdConfig) -> int:
 
 
 def _cmd_eval(args, config: ThresholdConfig) -> int:
-    db = load_index(args.db, with_digests=True)
+    db = load_index(args.db)
     manifest = read_manifest(args.manifest)
+    if db.digests is None:
+        print(f"tir eval: {args.db} carries no image digests, so every query is extracted", file=sys.stderr)
     # A query image the database holds byte for byte takes its record's features.
     queries = build_index(manifest, args.root, db.extraction_config, jobs=args.jobs, reuse=db)
     indexed = set(db.digests or ())

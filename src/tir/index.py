@@ -24,44 +24,38 @@ rows: the text's grammar in `_chunk_int64s`, `_chunk_reals` and
 `_chunk_columns`, the rules on values in `_check_int64s` and `_check_rows`,
 which the column cache's rows pass too. When a chunk fails, load_index runs
 the same checks on its rows one at a time and names the first row that
-fails. The database, its sidecars and manifests share one file writer, which
-replaces a file whole, and the text files one UTF-8 line reader.
+fails. The database, its column cache and manifests share one file writer,
+which replaces a file whole, and the text files one UTF-8 line reader.
 
-save_index writes two sidecars after the database, each bound to the
-database's bytes by its first line. Line 1 alone decides whether a sidecar
-applies: exactly when it is the line shown below, byte for byte, for the
-database bytes beside it. Any other sidecar (of another version, or beside a
-database copied or saved over) is ignored, so save_index leaves an old one in
-place. load_index hashes the database bytes at most once, and only when a
-sidecar of this tag and version is there to check.
+save_index writes the column cache `<db>.cols` after the database, bound to
+the database's bytes by its first line. Line 1 alone decides whether the
+cache applies: exactly when it is the line shown below, byte for byte, for
+the database bytes beside it. Any other cache (of another version, or beside
+a database copied or saved over) is ignored. load_index hashes the database
+bytes at most once, and only when a cache of this tag and version is there to
+check.
 
 Column cache (`<db>.cols`, binary, little-endian), written for every database:
 
-    line 1:     TIRCOLS<TAB>1<TAB><sha256 of the database file's bytes><LF>
+    line 1:     TIRCOLS<TAB>2<TAB><sha256 of the database file's bytes><LF>
     then:       zero bytes up to the next multiple of 8, so every block below is aligned
-                int64 n, P, L: the record count and the byte lengths of the two text blocks
+                int64 n, P, L, D: the record count and the byte lengths of the paths, labels and digests
                 int64 record_ids[n], int64 corner_counts[n]
                 float64 hu[n][7], float64 log_hu[n][7], row by row
+                D bytes: nothing (D = 0), or the sha256 of each record's image file (D = 32n)
                 P bytes: the n paths in UTF-8, joined by LF; L bytes: the n labels, likewise
 
-load_index always checks lines 1-2 of the database text. When a cache
-applies, it takes the columns, paths and labels from it (the arrays are
-read-only views of its bytes); otherwise it parses the record lines, which
-stay the reference. A cache that applies but breaks its layout or a record
-rule is an IndexFormatError naming the cache.
-
-Image digests sidecar (`<db>.digests`, ASCII, LF line endings), written when
-the database carries the sha256 of each record's image file, as build_index's
-databases do:
-
-    line 1:     TIRDIGESTS<TAB>1<TAB><sha256 of the database file's bytes>
-    per record: <record_id><TAB><sha256 of the image file's bytes>
+load_index always checks lines 1-2 of the database text. When the cache
+applies, it takes the columns, paths, labels and image digests from it (the
+arrays are read-only views of its bytes); otherwise it parses the record
+lines, which stay the reference, and the database has no digests. A cache
+that applies but breaks its layout or a record rule is an IndexFormatError
+naming the cache.
 
 Extraction is deterministic, so an image file whose digest names a record has
-that record's features: `tir eval` passes the database it loads with
-`load_index(..., with_digests=True)` to build_index as `reuse`, which extracts
-only the query images the database does not hold. `tir query` and a plain
-load_index never read this sidecar.
+that record's features: `tir eval` passes the database it loads to
+build_index as `reuse`, which extracts only the query images the database
+does not hold.
 """
 
 from __future__ import annotations
@@ -70,7 +64,7 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -94,11 +88,7 @@ from .parallel import ItemError, map_ordered
 FORMAT_TAG = "TIRDB"
 FORMAT_VERSION = 1
 COLS_TAG = "TIRCOLS"
-COLS_VERSION = 1
-DIGESTS_TAG = "TIRDIGESTS"
-DIGESTS_VERSION = 1
-
-_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+COLS_VERSION = 2
 
 
 class IndexFormatError(ValueError):
@@ -167,8 +157,8 @@ class FeatureDatabase:
     so a database that only retrieves, evaluates or is saved never builds
     them. `digests` is None or holds, in record order, the sha256 hex digest
     of the image file each record was extracted from: `build_index` hashes
-    the bytes it read, and `load_index` reads a bound sidecar. A database
-    made from records has none.
+    the bytes it read, and `load_index` reads them from a bound column
+    cache. A database made from records has none.
     """
 
     def __init__(self, records, extraction_config: ExtractionConfig):
@@ -444,11 +434,9 @@ def build_index(
 def save_index(db: FeatureDatabase, path) -> None:
     """Write `db` to `path`, replacing the file whole (see `_write_bytes`).
 
-    Its column cache `<path>.cols` follows, bound to the bytes just written,
-    and then, for a database with digests, its sidecar `<path>.digests`, bound
-    the same way. An old `<path>.digests` that is not rewritten is left in
-    place, as is an old cache if a write fails: line 1 keeps either from
-    applying to other bytes.
+    Its column cache `<path>.cols` follows, bound to the bytes just written;
+    it carries the image digests when `db` has them. An old cache is left
+    in place if a write fails: line 1 keeps it from applying to other bytes.
     """
     cfg = db.extraction_config
     settings = [f"{key}={(str if kind is int else _fmt_real)(getattr(getattr(cfg, group), name))}"
@@ -460,58 +448,31 @@ def save_index(db: FeatureDatabase, path) -> None:
     ):
         lines.append("\t".join([str(record_id), record_path, label, str(count), *map(_fmt_real, phi)]))
     db_sha256 = hashlib.sha256(_write_lines(path, lines)).hexdigest()
-    _write_bytes(_sidecar_path(path, "cols"), _cols_bytes(db, db_sha256))
-    if db.digests is not None:
-        head = f"{DIGESTS_TAG}\t{DIGESTS_VERSION}\t{db_sha256}"
-        _write_lines(_sidecar_path(path, "digests"),
-                     [head, *map("{}\t{}".format, cols.record_ids.tolist(), db.digests)])
+    _write_bytes(_sidecar_path(path), _cols_bytes(db, db_sha256))
 
 
-def _sidecar_path(path, kind: str) -> Path:
-    """The sidecar `<path>.<kind>` of the database file at `path`."""
+def _sidecar_path(path) -> Path:
+    """The column cache `<path>.cols` of the database file at `path`."""
     path = Path(path)
-    return path.with_name(f"{path.name}.{kind}")
+    return path.with_name(f"{path.name}.cols")
 
 
-def _bound_sidecar(sidecar: Path, tag: str, version: int, db_sha256) -> bytes | None:
-    """The bytes of `sidecar` if its line 1 names the database bytes beside it, else None (also if it is absent).
+def _bound_sidecar(sidecar: Path, db_data: bytes) -> bytes | None:
+    """The bytes of `sidecar` if its line 1 names `db_data`, the database bytes beside it, else None (also if absent).
 
-    Line 1 names them when it is, byte for byte, `tag<TAB>version<TAB>` and
-    their sha256 hex digest, `db_sha256()`, which is called only when line 1
-    starts with that tag and version.
+    Line 1 names them when it is, byte for byte, `TIRCOLS<TAB><COLS_VERSION><TAB>`
+    and their sha256 hex digest, which is computed only when line 1 starts
+    with that tag and version.
     """
     try:
         data = sidecar.read_bytes()
     except FileNotFoundError:
         return None
-    head = f"{tag}\t{version}\t".encode()
+    head = f"{COLS_TAG}\t{COLS_VERSION}\t".encode()
     if not data.startswith(head):
         return None
-    line1 = head + db_sha256().encode()
+    line1 = head + hashlib.sha256(db_data).hexdigest().encode()
     return data if data.startswith(line1) and data[len(line1):len(line1) + 1] in (b"", b"\n") else None
-
-
-def _read_digests(path, db_sha256, record_ids: list[int]) -> tuple[str, ...] | None:
-    """The record digests in the sidecar of the database at `path`, if it is bound (see `_bound_sidecar`).
-
-    A sidecar that applies holds one `<record_id><TAB><sha256>` line per
-    record, in record order, or is an IndexFormatError naming its first bad line.
-    """
-    sidecar = _sidecar_path(path, "digests")
-    data = _bound_sidecar(sidecar, DIGESTS_TAG, DIGESTS_VERSION, db_sha256)
-    if data is None:
-        return None
-    lines = _text_lines(data, sidecar)
-    digests = []
-    for lineno, (record_id, line) in enumerate(zip(record_ids, lines[1:]), start=2):
-        fields = line.split("\t")
-        if len(fields) != 2 or fields[0] != str(record_id) or not _SHA256_HEX.fullmatch(fields[1]):
-            raise IndexFormatError(f"{sidecar}: line {lineno}: expected {record_id}<TAB><sha256>, got {line!r}")
-        digests.append(fields[1])
-    if len(lines) - 1 != len(record_ids):
-        raise IndexFormatError(f"{sidecar}: line {len(digests) + 2}: expected one line per record"
-                               f" ({len(record_ids)}), got {len(lines) - 1}")
-    return tuple(digests)
 
 
 # The column cache's numeric blocks after its sizes, in file order: the
@@ -522,16 +483,18 @@ _COLS_BLOCKS = (
     ("hu", np.dtype(("<f8", 7))),
     ("log_hu", np.dtype(("<f8", 7))),
 )
-_COLS_SIZES = 3  # int64 n, P and L
+_COLS_SIZES = 4  # int64 n, P, L and D
+_DIGEST_BYTES = 32  # one sha256
 
 
 def _cols_bytes(db: FeatureDatabase, db_sha256: str) -> bytes:
     """The column cache of `db`, bound to the database bytes whose sha256 hex digest is `db_sha256`."""
     head = f"{COLS_TAG}\t{COLS_VERSION}\t{db_sha256}\n".encode()
     texts = ["\n".join(db.paths).encode("utf-8"), "\n".join(db.labels).encode("utf-8")]
-    sizes = np.array([len(db.columns), *map(len, texts)], "<i8")
+    digests = bytes.fromhex("".join(db.digests or ()))
+    sizes = np.array([len(db.columns), *map(len, texts), len(digests)], "<i8")
     blocks = [getattr(db.columns, name).astype(dtype.base, copy=False) for name, dtype in _COLS_BLOCKS]
-    return b"".join([head, bytes(-len(head) % 8), sizes.tobytes(), *(b.tobytes() for b in blocks), *texts])
+    return b"".join([head, bytes(-len(head) % 8), sizes.tobytes(), *(b.tobytes() for b in blocks), digests, *texts])
 
 
 def _check_cached_rows(ids, counts, hu, log_hu, paths, labels, seen_ids) -> None:
@@ -542,7 +505,7 @@ def _check_cached_rows(ids, counts, hu, log_hu, paths, labels, seen_ids) -> None
 
 
 def _cached_columns(cols_file: Path, data: bytes):
-    """The columns, paths and labels in `data`, the bytes of a bound column cache.
+    """The columns, paths, labels and image digests (or None) in `data`, the bytes of a bound column cache.
 
     A layout other than the module docstring's, or a row that breaks a value
     rule, is an IndexFormatError naming `cols_file`.
@@ -551,15 +514,22 @@ def _cached_columns(cols_file: Path, data: bytes):
     offset = line_end + -line_end % 8
     if not line_end or len(data) < offset + 8 * _COLS_SIZES or any(data[line_end:offset]):
         raise IndexFormatError(f"{cols_file}: no zero padding and sizes after line 1")
-    n, *text_sizes = np.frombuffer(data, "<i8", _COLS_SIZES, offset).tolist()
+    n, *text_sizes, digests_size = np.frombuffer(data, "<i8", _COLS_SIZES, offset).tolist()
     offset += 8 * _COLS_SIZES
-    size = offset + n * sum(dtype.itemsize for _, dtype in _COLS_BLOCKS) + sum(text_sizes)
+    if digests_size not in (0, _DIGEST_BYTES * n):
+        raise IndexFormatError(f"{cols_file}: {digests_size} bytes of image digests for {n} records"
+                               f" (0 or {_DIGEST_BYTES} per record)")
+    size = offset + n * sum(dtype.itemsize for _, dtype in _COLS_BLOCKS) + digests_size + sum(text_sizes)
     if min(n, *text_sizes) < 0 or len(data) != size:
         raise IndexFormatError(f"{cols_file}: {len(data)} bytes, where its sizes make {size}")
     columns = {}
     for name, dtype in _COLS_BLOCKS:
         columns[name] = np.frombuffer(data, dtype, n, offset)
         offset += n * dtype.itemsize
+    digests = None
+    if digests_size:  # any 32 bytes are a sha256; as in build_index, each is held as 64 hex digits
+        digests = tuple(data[offset:offset + digests_size].hex(" ", _DIGEST_BYTES).split(" "))
+        offset += digests_size
     paths_end = offset + text_sizes[0]
     try:
         paths, labels = (text.decode("utf-8") for text in (data[offset:paths_end], data[paths_end:]))
@@ -571,7 +541,7 @@ def _cached_columns(cols_file: Path, data: bytes):
     rows = (columns["record_ids"].tolist(), columns["corner_counts"].tolist(), columns["hu"], columns["log_hu"],
             paths, labels)
     _checked_rows(_check_cached_rows, rows, set(), cols_file, "record", 1)
-    return FeatureColumns(**columns), tuple(paths), tuple(labels)
+    return FeatureColumns(**columns), tuple(paths), tuple(labels), digests
 
 
 # The CFG line, in line order: each key, the ExtractionConfig group and field
@@ -733,30 +703,27 @@ def _parsed_columns(lines: list[str], path):
     return FeatureColumns(record_ids, corner_counts, hu, log_hu), tuple(paths), tuple(labels)
 
 
-def load_index(path, *, with_digests: bool = False) -> FeatureDatabase:
+def load_index(path) -> FeatureDatabase:
     """Load a feature database, verifying the version tag and every record line.
 
     An error names the first bad line. Lines end at LF only, so a CR (as in
     CRLF endings) is part of a line and fails that line's checks. The
     records go straight into columns, from the column cache when it is bound
-    to these bytes; see the module docstring.
-
-    With `with_digests`, the database's `digests` come from its sidecar file
-    when one is bound to the bytes read here, and are None otherwise.
+    to these bytes; see the module docstring. The database's `digests` come
+    from that cache too, and are None without one.
     """
     data = Path(path).read_bytes()
-    db_sha256 = cache(lambda: hashlib.sha256(data).hexdigest())  # hashed once, if a sidecar is there
-    cols_file = _sidecar_path(path, "cols")
-    cached = _bound_sidecar(cols_file, COLS_TAG, COLS_VERSION, db_sha256)
+    cols_file = _sidecar_path(path)
+    cached = _bound_sidecar(cols_file, data)
     if cached is None:
         lines = _text_lines(data, path)
         config = _parse_head(lines, path)
         columns, paths, labels = _parsed_columns(lines, path)
+        digests = None
     else:
         head = data[:data.find(b"\n", data.find(b"\n") + 1) + 1] or data  # lines 1-2, or all if fewer
         config = _parse_head(_text_lines(head, path), path)
-        columns, paths, labels = _cached_columns(cols_file, cached)
-    digests = _read_digests(path, db_sha256, columns.record_ids.tolist()) if with_digests else None
+        columns, paths, labels, digests = _cached_columns(cols_file, cached)
     return FeatureDatabase._from_columns(columns, paths, labels, config, digests)
 
 

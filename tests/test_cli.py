@@ -1,14 +1,19 @@
+import hashlib
 import math
 import runpy
+import struct
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tir import index
 from tir.cli import build_parser, run
 from tir.imaging import GrayImage, save_pgm
-from tir.index import ExtractionConfig, Manifest, load_index, read_manifest, write_manifest
+from tir.index import (ExtractionConfig, FeatureDatabase, Manifest, load_index, read_manifest, save_index,
+                       write_manifest)
 from tir.matching import ThresholdConfig, corner_filter
 from tir.shapes import benchmark_shapes
 
@@ -55,6 +60,24 @@ def _argv_on_edited_db(indexed, tmp_path, field, token, command):
         return ["query", "--db", str(db), "--image", str(work / "rot" / "kite_rot0.pgm")]
     return ["eval", "--db", str(db), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
             "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]
+
+
+def _previous_format_sidecars(db_file):
+    """The column cache (version 1, without digests) and the image-digests sidecar that the previous format
+    wrote beside `db_file`, both bound to its bytes, made from the cache (version 2) beside it."""
+    cache = db_file.with_name(db_file.name + ".cols").read_bytes()
+    assert cache.startswith(b"TIRCOLS\t2\t") and cache[75:80] == bytes(5)
+    n, paths_size, labels_size, digests_size = struct.unpack_from("<4q", cache, 80)
+    blocks_end = 112 + n * (8 + 8 + 56 + 56)
+    digests = cache[blocks_end:blocks_end + digests_size].hex(" ", 32).split(" ")
+    db_sha256 = hashlib.sha256(db_file.read_bytes()).hexdigest()
+    ids = struct.unpack_from(f"<{n}q", cache, 112)
+    return {
+        f"{db_file.name}.cols": b"TIRCOLS\t1\t" + cache[10:80] + struct.pack("<3q", n, paths_size, labels_size)
+                                + cache[112:blocks_end] + cache[blocks_end + digests_size:],
+        f"{db_file.name}.digests": "".join([f"TIRDIGESTS\t1\t{db_sha256}\n",
+                                            *map("{}\t{}\n".format, ids, digests)]).encode(),
+    }
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -387,31 +410,67 @@ class TestDataErrors:
         assert f"{db}: line 4: not valid UTF-8" in captured.err
         assert captured.out == ""
 
-    def test_eval_malformed_digests_sidecar_exits_2_naming_its_line(self, indexed, tmp_path, capsys):
+    def test_eval_cache_with_a_bad_digest_size_exits_2_naming_it(self, indexed, tmp_path, capsys):
         root, work = indexed
         (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())
-        lines = (work / "db.tsv.digests").read_text().splitlines()
-        lines[2] = lines[2][:-1]
-        (tmp_path / "db.tsv.digests").write_text("\n".join(lines) + "\n")
+        data = (work / "db.tsv.cols").read_bytes()
+        (tmp_path / "db.tsv.cols").write_bytes(data[:104] + struct.pack("<q", 32) + data[112:])  # D, not 9 * 32
         code = run(["eval", "--db", str(tmp_path / "db.tsv"), "--manifest", str(work / "rot.tsv"),
                     "--root", str(work / "rot"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"tir eval: error: {tmp_path / 'db.tsv.digests'}: line 3: ")
+        assert capsys.readouterr().err == (f"tir eval: error: {tmp_path / 'db.tsv.cols'}: 32 bytes of image digests"
+                                           f" for 9 records (0 or 32 per record)\n")
         assert not (tmp_path / "pr.csv").exists()
 
-    def test_eval_ignores_a_sidecar_of_another_version(self, indexed, tmp_path, capsys):
-        # Line 1 names these database bytes but version 2: the queries are extracted, and the CSV is the same.
+    def test_eval_ignores_a_cache_of_another_version(self, indexed, tmp_path, capsys):
+        # Line 1 names these database bytes but version 1: the queries are extracted, and the CSV is the same.
         root, work = indexed
         argv = ["eval", "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"), "--mode", "hybrid"]
         assert run([*argv, "--db", str(work / "db.tsv"), "--out", str(tmp_path / "held.csv")]) == 0
         assert " reused=9 extracted=0 " in capsys.readouterr().err
         (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())
-        sidecar = (work / "db.tsv.digests").read_text()
-        assert sidecar.startswith("TIRDIGESTS\t1\t")
-        (tmp_path / "db.tsv.digests").write_text(sidecar.replace("\t1\t", "\t2\t", 1))
+        cache = (work / "db.tsv.cols").read_bytes()
+        assert cache.startswith(b"TIRCOLS\t2\t")
+        (tmp_path / "db.tsv.cols").write_bytes(cache.replace(b"\t2\t", b"\t1\t", 1))
         assert run([*argv, "--db", str(tmp_path / "db.tsv"), "--out", str(tmp_path / "other.csv")]) == 0
         assert " reused=0 extracted=9 " in capsys.readouterr().err
         assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+
+    def test_eval_ignores_the_previous_formats_cache_and_digests_sidecar(self, indexed, tmp_path, capsys):
+        # Version 1 kept the image digests in a second sidecar, `<db>.digests`. Both of its files are bound to
+        # these database bytes, neither applies, and neither is touched: the record lines are parsed.
+        root, work = indexed
+        argv = ["eval", "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"), "--mode", "hybrid"]
+        assert run([*argv, "--db", str(work / "db.tsv"), "--out", str(tmp_path / "held.csv")]) == 0
+        capsys.readouterr()
+        db_file = tmp_path / "db.tsv"
+        db_file.write_bytes((work / "db.tsv").read_bytes())
+        old = _previous_format_sidecars(work / "db.tsv")
+        for name, data in old.items():
+            (tmp_path / name).write_bytes(data)
+        with mock.patch.object(index, "_cached_columns", side_effect=AssertionError("the cache was read")):
+            loaded = load_index(db_file)
+        assert loaded.digests is None
+        assert loaded.records == load_index(work / "db.tsv").records
+        assert run([*argv, "--db", str(db_file), "--out", str(tmp_path / "other.csv")]) == 0
+        assert " reused=0 extracted=9 " in capsys.readouterr().err
+        assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+        assert {name: (tmp_path / name).read_bytes() for name in old} == old
+
+    def test_index_over_the_previous_format_writes_a_cache_that_carries_the_digests(self, indexed, tmp_path):
+        # tir index writes the database and its column cache only; an old `<db>.digests` stays as it was.
+        root, work = indexed
+        old = _previous_format_sidecars(work / "db.tsv")
+        for name, data in old.items():
+            (tmp_path / name).write_bytes(data)
+        assert run(["index", "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
+                    "--out", str(tmp_path / "db.tsv"), "--jobs", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.cols", "db.tsv.digests"]
+        for name in ("db.tsv", "db.tsv.cols"):
+            assert (tmp_path / name).read_bytes() == (work / name).read_bytes()
+        assert (tmp_path / "db.tsv.digests").read_bytes() == old["db.tsv.digests"]
+        digests = load_index(tmp_path / "db.tsv").digests
+        assert digests is not None and digests == load_index(work / "db.tsv").digests
 
     def test_eval_non_utf8_manifest_exits_2(self, indexed, tmp_path, capsys):
         root, work = indexed
@@ -487,9 +546,9 @@ class TestPipeline:
         assert lines[-1].startswith("MEAN,,hybrid,")
 
     def test_eval_reuses_the_indexed_features_of_held_queries(self, indexed, tmp_path, capsys):
-        # The same CSV whether the queries' features come from the sidecar or from extraction.
+        # The same CSV whether the queries' features come from the column cache or from extraction.
         root, work = indexed
-        (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())  # no sidecar beside it
+        (tmp_path / "db.tsv").write_bytes((work / "db.tsv").read_bytes())  # no column cache beside it
         held = read_manifest(work / "rot.tsv").entries
         save_pgm(benchmark_shapes()[3][1], tmp_path / "new.pgm")  # an image the database does not hold
         write_manifest(Manifest((*held[:2], (str(tmp_path / "new.pgm"), held[0][1]))), tmp_path / "q.tsv")
@@ -502,7 +561,7 @@ class TestPipeline:
                             "--mode", "hybrid", "--out", str(out), "--jobs", jobs]) == 0
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                runs.append((out.read_bytes(), captured.err.split(" mean_precision")[0]))
+                runs.append((out.read_bytes(), captured.err.splitlines()[-1].split(" mean_precision")[0]))
         n = len(held)
         assert [err for _, err in runs] == [
             *[f"mode=hybrid queries={n} reused={n} extracted=0"] * 2,
@@ -511,6 +570,31 @@ class TestPipeline:
             *["mode=hybrid queries=3 reused=0 extracted=3"] * 2,
         ]
         assert len({csv for csv, _ in runs[:4]}) == 1 and len({csv for csv, _ in runs[4:]}) == 1
+
+    @pytest.mark.parametrize("cache", ["with digests", "without digests", "absent"])
+    def test_eval_says_when_the_database_carries_no_digests(self, indexed, tmp_path, capsys, cache):
+        # One stderr line before the extraction; stdout, the CSV and the summary line are as without it.
+        root, work = indexed
+        db_file = tmp_path / "db.tsv"
+        db_file.write_bytes((work / "db.tsv").read_bytes())
+        if cache == "with digests":
+            (tmp_path / "db.tsv.cols").write_bytes((work / "db.tsv.cols").read_bytes())
+        elif cache == "without digests":  # a database made from records has none
+            db = load_index(work / "db.tsv")
+            save_index(FeatureDatabase(db.records, db.extraction_config), db_file)
+            assert db_file.read_bytes() == (work / "db.tsv").read_bytes()
+        argv = ["eval", "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"), "--mode", "hybrid"]
+        assert run([*argv, "--db", str(work / "db.tsv"), "--out", str(tmp_path / "held.csv")]) == 0
+        held = capsys.readouterr().err.splitlines()[-1].replace("reused=9 extracted=0", "reused=0 extracted=9")
+        assert run([*argv, "--db", str(db_file), "--out", str(tmp_path / "pr.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if cache == "with digests":
+            assert " reused=9 extracted=0 " in captured.err and len(captured.err.splitlines()) == 1
+        else:
+            assert captured.err.splitlines() == [
+                f"tir eval: {db_file} carries no image digests, so every query is extracted", held]
+        assert (tmp_path / "pr.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
 
     @pytest.mark.parametrize("mode", ["corner", "moments", "hybrid"])
     @pytest.mark.parametrize("exclude_self", [False, True])

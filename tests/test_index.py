@@ -359,8 +359,8 @@ class TestBuildIndex:
 
 @pytest.fixture(scope="module")
 def reuse_dataset(tmp_path_factory):
-    """Five shapes on disk, a database `db.tsv` (with its sidecar) over the first three,
-    and `other.tsv` (with its sidecar) over the same three in reverse order."""
+    """Five shapes on disk, a database `db.tsv` (with its column cache) over the first three,
+    and `other.tsv` (with its column cache) over the same three in reverse order."""
     root = tmp_path_factory.mktemp("reuse")
     entries = []
     for name, img in benchmark_shapes()[:5]:
@@ -382,26 +382,26 @@ class TestDigestReuse:
     QUERIES = {"all": [0, 1, 2], "some": [3, 1, 4, 0], "none": [4, 3]}
 
     @staticmethod
-    def _db_with_sidecar(reuse_dataset, tmp_path, sidecar):
+    def _db_with_cache(reuse_dataset, tmp_path, cache):
         root, _ = reuse_dataset
         db_file = tmp_path / "db.tsv"
         db_file.write_bytes((root / "db.tsv").read_bytes())
-        if sidecar == "bound":
-            (tmp_path / "db.tsv.digests").write_bytes((root / "db.tsv.digests").read_bytes())
-        elif sidecar == "stale":  # the database was rewritten after its sidecar: same ids, other images
-            (tmp_path / "db.tsv.digests").write_bytes((root / "db.tsv.digests").read_bytes())
+        if cache == "bound":
+            (tmp_path / "db.tsv.cols").write_bytes((root / "db.tsv.cols").read_bytes())
+        elif cache == "stale":  # the database was rewritten after its cache: same ids, other images
+            (tmp_path / "db.tsv.cols").write_bytes((root / "db.tsv.cols").read_bytes())
             db_file.write_bytes((root / "other.tsv").read_bytes())
-        elif sidecar == "other":
-            (tmp_path / "db.tsv.digests").write_bytes((root / "other.tsv.digests").read_bytes())
+        elif cache == "other":
+            (tmp_path / "db.tsv.cols").write_bytes((root / "other.tsv.cols").read_bytes())
         return db_file
 
-    @pytest.mark.parametrize("sidecar", ["bound", "absent", "stale", "other"])
+    @pytest.mark.parametrize("cache", ["bound", "absent", "stale", "other"])
     @pytest.mark.parametrize("queries", sorted(QUERIES))
-    def test_features_equal_fresh_extraction(self, reuse_dataset, tmp_path, monkeypatch, sidecar, queries):
+    def test_features_equal_fresh_extraction(self, reuse_dataset, tmp_path, monkeypatch, cache, queries):
         root, entries = reuse_dataset
         manifest = Manifest(tuple(entries[i] for i in self.QUERIES[queries]))
-        db = load_index(self._db_with_sidecar(reuse_dataset, tmp_path, sidecar), with_digests=True)
-        assert (db.digests is not None) == (sidecar == "bound")
+        db = load_index(self._db_with_cache(reuse_dataset, tmp_path, cache))
+        assert (db.digests is not None) == (cache == "bound")
         fresh = build_index(manifest, root)
         extracted = []
         image_features = index._image_features
@@ -409,12 +409,12 @@ class TestDigestReuse:
         reused = build_index(manifest, root, reuse=db)
         assert _features(reused) == _features(fresh)
         assert reused.records == fresh.records
-        held = [p for p, _ in manifest.entries if p in db.paths] if sidecar == "bound" else []
+        held = [p for p, _ in manifest.entries if p in db.paths] if cache == "bound" else []
         assert extracted == [p for p, _ in manifest.entries if p not in held]
 
     def test_all_held_starts_no_worker(self, reuse_dataset, monkeypatch):
         root, entries = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
+        db = load_index(root / "db.tsv")
         calls = []
         monkeypatch.setattr(index, "_image_features", lambda *a: calls.append(a))
         for jobs in (1, 2):
@@ -425,7 +425,7 @@ class TestDigestReuse:
 
     def test_other_extraction_config_reuses_nothing(self, reuse_dataset):
         root, entries = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
+        db = load_index(root / "db.tsv")
         config = ExtractionConfig(EdgeConfig(threshold=60))
         manifest = Manifest(tuple(entries[:3]))
         fresh = build_index(manifest, root, config)
@@ -438,7 +438,7 @@ class TestDigestReuse:
         # entry must not hide an earlier one that fails to extract.
         root, entries = reuse_dataset
         manifest = Manifest((entries[0], entries[3], *((b, "x") for b in bad), entries[1]))
-        db = load_index(root / "db.tsv", with_digests=True)
+        db = load_index(root / "db.tsv")
         failures = []
         for jobs, reuse in ((1, None), (1, db), (2, db)):
             with pytest.raises(IndexBuildError) as failed:
@@ -446,87 +446,6 @@ class TestDigestReuse:
             failures.append((type(failed.value.__cause__), str(failed.value)))
         assert failures[0] == failures[1] == failures[2]
         assert failures[0][1].startswith(f"manifest entry {bad[0]!r}: ")
-
-
-class TestDigestSidecar:
-    def test_round_trip(self, reuse_dataset, tmp_path):
-        root, entries = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
-        assert db.digests == build_index(Manifest(tuple(entries[:3])), root).digests
-        assert load_index(root / "db.tsv").digests is None  # only on request
-        save_index(db, tmp_path / "db.tsv")
-        for name in ("db.tsv", "db.tsv.digests"):
-            assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
-
-    def test_format_and_unchanged_database_bytes(self, reuse_dataset, tmp_path):
-        root, _ = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
-        save_index(FeatureDatabase(db.records, db.extraction_config), tmp_path / "db.tsv")
-        data = (tmp_path / "db.tsv").read_bytes()
-        assert data == (root / "db.tsv").read_bytes()
-        assert not (tmp_path / "db.tsv.digests").exists()
-        lines = (root / "db.tsv.digests").read_text().splitlines()
-        assert lines[0] == f"TIRDIGESTS\t1\t{hashlib.sha256(data).hexdigest()}"
-        assert lines[1:] == [f"{n}\t{d}" for n, d in enumerate(db.digests)]
-        assert db.digests[0] == hashlib.sha256((root / db.paths[0]).read_bytes()).hexdigest()
-
-    def test_saving_other_bytes_without_digests_leaves_the_old_sidecar_inapplicable(self, reuse_dataset, tmp_path):
-        # save_index leaves the old sidecar in place; its line 1 names the old bytes only.
-        root, _ = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
-        save_index(db, tmp_path / "db.tsv")
-        save_index(FeatureDatabase(db.records[:1], db.extraction_config), tmp_path / "db.tsv")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.cols", "db.tsv.digests"]
-        assert (tmp_path / "db.tsv.digests").read_bytes() == (root / "db.tsv.digests").read_bytes()
-        assert load_index(tmp_path / "db.tsv", with_digests=True).digests is None
-
-    def test_saving_the_same_bytes_again_keeps_the_old_sidecar_applicable(self, reuse_dataset, tmp_path):
-        root, _ = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
-        save_index(db, tmp_path / "db.tsv")
-        save_index(FeatureDatabase(db.records, db.extraction_config), tmp_path / "db.tsv")  # no digests
-        assert (tmp_path / "db.tsv").read_bytes() == (root / "db.tsv").read_bytes()
-        assert load_index(tmp_path / "db.tsv", with_digests=True).digests == db.digests
-
-    @pytest.mark.parametrize("head", [
-        "TIRDIGESTS\t2\t{}", "TIRDIGESTS\t01\t{}", "tirdigests\t1\t{}", "TIRDIGESTS\t1\t{}\t",
-        "TIRDIGESTS\t1\t{}\r", "TIRDIGESTS 1 {}", "TIRDIGESTS\t1\t\xe9{}",
-    ], ids=["version-2", "version-01", "lower-case-tag", "trailing-tab", "trailing-cr", "spaces", "not-utf8"])
-    def test_sidecar_whose_line_1_is_not_the_exact_header_is_ignored(self, reuse_dataset, tmp_path, head):
-        # Line 1 names these database bytes, but not as this version's header: the sidecar does not apply.
-        root, _ = reuse_dataset
-        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
-        lines = (root / "db.tsv.digests").read_text().splitlines()
-        lines[0] = head.format(lines[0].split("\t")[2])
-        (tmp_path / "db.tsv.digests").write_text("\n".join(lines) + "\n", encoding="latin-1")
-        assert load_index(tmp_path / "db.tsv", with_digests=True).digests is None
-
-    @pytest.mark.parametrize("edit, lineno", [
-        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2),
-        (lambda lines: [*lines[:2], lines[2].upper(), *lines[3:]], 3),
-        (lambda lines: [*lines[:2], lines[2] + "\r", *lines[3:]], 3),
-        (lambda lines: [*lines[:2], lines[2][:-1], *lines[3:]], 3),
-        (lambda lines: [*lines[:3], lines[3] + "\tx"], 4),
-        (lambda lines: lines[:3], 4),
-        (lambda lines: [*lines, "3\t" + "0" * 64], 5),
-    ])
-    def test_malformed_bound_sidecar_names_its_line(self, reuse_dataset, tmp_path, edit, lineno):
-        root, _ = reuse_dataset
-        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
-        lines = edit((root / "db.tsv.digests").read_text().splitlines())
-        sidecar = tmp_path / "db.tsv.digests"
-        sidecar.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IndexFormatError, match=f"^{re.escape(str(sidecar))}: line {lineno}: "):
-            load_index(tmp_path / "db.tsv", with_digests=True)
-        assert load_index(tmp_path / "db.tsv").digests is None
-
-    def test_non_utf8_sidecar_names_its_line(self, reuse_dataset, tmp_path):
-        root, _ = reuse_dataset
-        (tmp_path / "db.tsv").write_bytes((root / "db.tsv").read_bytes())
-        sidecar = tmp_path / "db.tsv.digests"
-        sidecar.write_bytes((root / "db.tsv.digests").read_bytes() + b"\xff\n")
-        with pytest.raises(IndexFormatError, match="line 5: not valid UTF-8"):
-            load_index(tmp_path / "db.tsv", with_digests=True)
 
 
 class TestReadOnlyColumns:
@@ -627,9 +546,9 @@ class TestPersistence:
         with pytest.raises(OSError, match="disk full"):
             save(new, target)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        if save is save_index:  # the old database keeps its sidecars, which still apply
-            assert sorted(before) == ["db.tsv", "db.tsv.cols", "db.tsv.digests"]
-            assert load_index(target, with_digests=True).digests == db.digests
+        if save is save_index:  # the old database keeps its column cache, which still applies
+            assert sorted(before) == ["db.tsv", "db.tsv.cols"]
+            assert load_index(target).digests == db.digests
         else:
             assert sorted(before) == ["db.tsv"]
 
@@ -953,10 +872,10 @@ def _three_records_db(tmp_path):
     return db_file
 
 
-# Byte offsets in the column cache of `_three_records_db`: line 1 is 75 bytes, zero-padded to 80; then the
-# three int64 sizes, and each block of three rows.
+# Byte offsets in a column cache: line 1 is 75 bytes, zero-padded to 80; then the four int64 sizes, and,
+# in the cache of `_three_records_db`, each block of three rows.
 SIZES_AT = 80
-BLOCK_AT = {"record_ids": 104, "corner_counts": 128, "hu": 152, "log_hu": 320}
+BLOCK_AT = {"record_ids": 112, "corner_counts": 136, "hu": 160, "log_hu": 328}
 
 
 def _packed(fmt, at, value):
@@ -981,18 +900,17 @@ class TestColumnCache:
             digests = tuple(hashlib.sha256(f"{digest_seed}{i}".encode()).hexdigest() for i in range(len(records)))
             db = FeatureDatabase._from_columns(db.columns, db.paths, db.labels, config, digests)
         db_file = db_dir / "cached.tsv"
-        for sidecar in ("cached.tsv.cols", "cached.tsv.digests"):  # an earlier example's, for the same bytes
-            (db_dir / sidecar).unlink(missing_ok=True)
         save_index(db, db_file)
         with mock.patch.object(index, "_parsed_columns", side_effect=AssertionError("the text was parsed")):
-            cached = load_index(db_file, with_digests=True)
+            cached = load_index(db_file)
         _cache_file(db_file).unlink()
         with mock.patch.object(index, "_CHUNK_LINES", chunk):
-            parsed = load_index(db_file, with_digests=True)
+            parsed = load_index(db_file)
         assert _columns_bytes(cached.columns) == _columns_bytes(parsed.columns)
         assert (cached.paths, cached.labels) == (parsed.paths, parsed.labels) == (db.paths, db.labels)
         assert cached.extraction_config == parsed.extraction_config == config
-        assert cached.digests == parsed.digests == db.digests
+        assert cached.digests == (db.digests or None)  # with no records, D = 0 reads as no digests
+        assert parsed.digests is None
 
     @pytest.mark.parametrize("field, token, message", [
         (0, "07", r"line 4: record_id must be written as"),
@@ -1019,21 +937,70 @@ class TestColumnCache:
         assert (loaded.paths, loaded.labels, loaded.columns.corner_counts.tolist()) == (
             ("0.pgm", "b.pgm", "2.pgm"), ("a", "b", "a"), [0, 9, 2])
 
-    def test_cache_of_another_version_is_ignored(self, tmp_path):
-        db_file = _three_records_db(tmp_path)
-        cache = _cache_file(db_file)
-        cache.write_bytes(cache.read_bytes().replace(b"TIRCOLS\t1\t", b"TIRCOLS\t2\t", 1))
+    def test_digests_round_trip(self, reuse_dataset, tmp_path):
+        # A plain load keeps the digests, so saving it writes the same database and cache again.
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv")
+        assert db.digests == build_index(Manifest(tuple(entries[:3])), root).digests
+        save_index(db, tmp_path / "db.tsv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.cols"]
+        for name in ("db.tsv", "db.tsv.cols"):
+            assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
+
+    def test_digest_block_holds_each_image_files_sha256(self, reuse_dataset):
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv")
+        data = (root / "db.tsv.cols").read_bytes()
+        n, paths_size, labels_size, digests_size = struct.unpack_from("<4q", data, SIZES_AT)
+        assert (n, digests_size) == (3, 96)
+        texts_at = len(data) - paths_size - labels_size
+        images = [(root / path).read_bytes() for path in db.paths]
+        assert data[texts_at - digests_size:texts_at] == b"".join(hashlib.sha256(image).digest() for image in images)
+        assert db.digests == tuple(hashlib.sha256(image).hexdigest() for image in images)
+
+    @pytest.mark.parametrize("kept", [3, 1])
+    def test_a_database_made_from_records_saves_and_loads_without_digests(self, reuse_dataset, tmp_path, kept):
+        # Saved over a database with digests, as the same text or other text: the cache is rewritten with D = 0.
+        root, _ = reuse_dataset
+        db = load_index(root / "db.tsv")
+        save_index(db, tmp_path / "db.tsv")
+        records = db.records[:kept]
+        save_index(FeatureDatabase(records, db.extraction_config), tmp_path / "db.tsv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.tsv", "db.tsv.cols"]
+        assert ((tmp_path / "db.tsv").read_bytes() == (root / "db.tsv").read_bytes()) == (kept == 3)
+        assert struct.unpack_from("<q", (tmp_path / "db.tsv.cols").read_bytes(), SIZES_AT + 24) == (0,)
+        loaded = load_index(tmp_path / "db.tsv")
+        assert loaded.digests is None
+        assert loaded.records == records
+
+    @pytest.mark.parametrize("head", [
+        b"TIRCOLS\t1\t%s", b"TIRCOLS\t3\t%s", b"TIRCOLS\t02\t%s", b"tircols\t2\t%s", b"TIRCOLS\t2\t%s\t",
+        b"TIRCOLS\t2\t%s\r", b"TIRCOLS 2 %s", b"TIRCOLS\t2\t\xe9%s",
+    ], ids=["version-1", "version-3", "version-02", "lower-case-tag", "trailing-tab", "trailing-cr", "spaces",
+            "not-utf8"])
+    def test_cache_whose_line_1_is_not_the_exact_header_is_ignored(self, reuse_dataset, tmp_path, head):
+        # Line 1 names these database bytes, but not as this version's header: the cache does not apply.
+        root, _ = reuse_dataset
+        db_file = tmp_path / "db.tsv"
+        db_file.write_bytes((root / "db.tsv").read_bytes())
+        line1, rest = (root / "db.tsv.cols").read_bytes().split(b"\n", 1)
+        _cache_file(db_file).write_bytes(head % line1.split(b"\t")[2] + b"\n" + rest)
         with mock.patch.object(index, "_cached_columns", side_effect=AssertionError("the cache was read")):
-            assert load_index(db_file).paths == ("0.pgm", "1.pgm", "2.pgm")
+            loaded = load_index(db_file)
+        assert loaded.paths == load_index(root / "db.tsv").paths
+        assert loaded.digests is None
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda data: data[:-1], r"509 bytes, where its sizes make 510$"),
-        (lambda data: data + b"\n", r"511 bytes, where its sizes make 510$"),
+        (lambda data: data[:-1], r"517 bytes, where its sizes make 518$"),
+        (lambda data: data + b"\n", r"519 bytes, where its sizes make 518$"),
         (lambda data: data[:SIZES_AT - 1] + b"\x01" + data[SIZES_AT:], r"no zero padding and sizes after line 1"),
-        (lambda data: data[:SIZES_AT + 8], r"no zero padding and sizes after line 1"),
-        (_packed("<q", SIZES_AT, 1), r"510 bytes, where its sizes make 254$"),
-        (_packed("<q", SIZES_AT + 8, -1), r"510 bytes, where its sizes make 492$"),
-        (_packed("<q", SIZES_AT + 8, 0), r"510 bytes, where its sizes make 493$"),
+        (lambda data: data[:SIZES_AT + 24], r"no zero padding and sizes after line 1"),
+        (_packed("<q", SIZES_AT, 1), r"518 bytes, where its sizes make 262$"),
+        (_packed("<q", SIZES_AT + 8, -1), r"518 bytes, where its sizes make 500$"),
+        (_packed("<q", SIZES_AT + 8, 0), r"518 bytes, where its sizes make 501$"),
+        (_packed("<q", SIZES_AT + 24, 96), r"518 bytes, where its sizes make 614$"),
+        (_packed("<q", SIZES_AT + 24, 32), r"32 bytes of image digests for 3 records \(0 or 32 per record\)$"),
+        (_packed("<q", SIZES_AT + 24, -96), r"-96 bytes of image digests for 3 records \(0 or 32 per record\)$"),
         (lambda data: data.replace(b"1.pgm", b"\xff.pgm"), r"paths or labels not valid UTF-8"),
         (lambda data: data.replace(b"1.pgm\n", b"1.pgm\t"), r"2 paths and 3 labels for 3 records$"),
         (_packed("<q", BLOCK_AT["record_ids"] + 8, -1), r"record 2: record_id must lie in \[0, 2\*\*63\)"),
@@ -1046,7 +1013,8 @@ class TestColumnCache:
         (lambda data: data.replace(b"a\na\na", b"a\n \na"), r"record 2: class label must be a single token"),
         (lambda data: _packed("<q", SIZES_AT + 16, 8)(data[:-5] + "a\nb\u0085c\na".encode()),  # U+0085 splits
          r"record 2: class label must be a single token: 'b\\x85c'$"),
-    ], ids=["cut", "extended", "padding", "no-sizes", "n", "negative-size", "block-lengths", "not-utf8",
+    ], ids=["cut", "extended", "padding", "no-sizes", "n", "negative-size", "block-lengths", "digest-block-absent",
+            "digest-size-one-record", "negative-digest-size", "not-utf8",
             "path-count", "negative-id", "duplicate-id", "negative-count", "nan-hu", "inf-log-hu", "tab-in-path",
             "cr-in-path", "blank-label", "two-token-label"])
     def test_bound_cache_breaking_its_layout_or_a_record_rule_is_an_error(self, tmp_path, edit, message):
@@ -1076,17 +1044,16 @@ class TestColumnCache:
 
     def test_a_load_hashes_the_database_once_and_only_beside_a_sidecar(self, reuse_dataset, tmp_path):
         root, _ = reuse_dataset
-        for name in ("db.tsv", "db.tsv.cols", "db.tsv.digests"):
+        for name in ("db.tsv", "db.tsv.cols"):
             (tmp_path / name).write_bytes((root / name).read_bytes())
         hashes = []
         for cols in (True, False):
             if not cols:
                 (tmp_path / "db.tsv.cols").unlink()
-            for with_digests in (True, False):
-                with mock.patch.object(index.hashlib, "sha256", wraps=hashlib.sha256) as sha256:
-                    load_index(tmp_path / "db.tsv", with_digests=with_digests)
-                hashes.append(sha256.call_count)
-        assert hashes == [1, 1, 1, 0]
+            with mock.patch.object(index.hashlib, "sha256", wraps=hashlib.sha256) as sha256:
+                load_index(tmp_path / "db.tsv")
+            hashes.append(sha256.call_count)
+        assert hashes == [1, 0]
 
     def test_truncated_cache_is_exit_code_2(self, built, tmp_path, capsys):
         root, manifest, _, out = built
@@ -1125,7 +1092,7 @@ class TestIndexingBuildsNoRecords:
     @pytest.mark.parametrize("held", ["fresh", *sorted(TestDigestReuse.QUERIES)])
     def test_build_index(self, reuse_dataset, records_made, held, jobs):
         root, entries = reuse_dataset
-        db = load_index(root / "db.tsv", with_digests=True)
+        db = load_index(root / "db.tsv")
         rows = TestDigestReuse.QUERIES.get(held, range(len(entries)))
         built = build_index(Manifest(tuple(entries[i] for i in rows)), root, jobs=jobs,
                             reuse=None if held == "fresh" else db)
@@ -1134,18 +1101,18 @@ class TestIndexingBuildsNoRecords:
         assert records_made == list(range(len(rows)))
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("sidecar", [True, False])
-    def test_cli_index_and_eval(self, reuse_dataset, records_made, tmp_path, capsys, sidecar, jobs):
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_cli_index_and_eval(self, reuse_dataset, records_made, tmp_path, capsys, cache, jobs):
         root, entries = reuse_dataset
         write_manifest(Manifest(tuple(entries)), tmp_path / "manifest.tsv")
         common = ["--manifest", str(tmp_path / "manifest.tsv"), "--root", str(root), "--jobs", jobs]
         assert run(["index", *common, "--out", str(tmp_path / "db.tsv")]) == 0
-        if not sidecar:
-            (tmp_path / "db.tsv.digests").unlink()
+        if not cache:
+            (tmp_path / "db.tsv.cols").unlink()
         assert run(["eval", *common, "--db", str(tmp_path / "db.tsv"), "--mode", "hybrid",
                     "--out", str(tmp_path / "pr.csv")]) == 0
         n = len(entries)
-        assert f"reused={n if sidecar else 0} extracted={0 if sidecar else n} " in capsys.readouterr().err
+        assert f"reused={n if cache else 0} extracted={0 if cache else n} " in capsys.readouterr().err
         assert records_made == []
 
 
