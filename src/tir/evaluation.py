@@ -8,17 +8,19 @@ runs for one image, then scores each query's top-k. Per query, the relevant
 set is every database record sharing the query's class label; under the
 default leave-in protocol that includes the query's own record (matched by
 path). Results are reported per query plus an unweighted arithmetic mean.
+The rotated images and PR CSVs are written by `tir.imaging._write_bytes`.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
-from .imaging import RgbImage, load_image, rgb_to_gray, rotate, save_pgm
+from .imaging import RgbImage, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import ThresholdConfig, rank_queries
@@ -91,29 +93,31 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
 
     Output names are `<stem>_rot<angle-in-integer-degrees>.pgm`; class labels
     are inherited from the base entry. Returns the combined manifest with
-    len(base) * len(angles) entries, base-major order.
+    len(base) * len(angles) entries, base-major order. Every name is checked
+    before any file is written: a collision writes nothing.
     """
     angles = list(angles)
     if not angles:
         raise ValueError("angles must be non-empty")
+    names = [[f"{Path(rel_path).stem}_rot{int(round(angle))}.pgm" for angle in angles]
+             for rel_path, _ in base_manifest.entries]
+    seen: set[str] = set()
+    for name in chain.from_iterable(names):
+        if name in seen:
+            raise RuntimeError(f"output name collision: {name!r}")
+        seen.add(name)
     root = Path(root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for rel_path, label in base_manifest.entries:
+    for (rel_path, label), row in zip(base_manifest.entries, names):
         try:
             image = load_image(root / rel_path)
         except Exception as exc:
             raise RuntimeError(f"base image {rel_path!r}: {exc}") from exc
         if isinstance(image, RgbImage):
             image = rgb_to_gray(image)
-        stem = Path(rel_path).stem
-        for angle in angles:
-            name = f"{stem}_rot{int(round(angle))}.pgm"
-            if name in seen:
-                raise RuntimeError(f"output name collision: {name!r}")
-            seen.add(name)
+        for angle, name in zip(angles, row):
             try:
                 save_pgm(rotate(image, angle), out_dir / name)
             except OSError as exc:
@@ -179,15 +183,16 @@ def emit_pr_csv(report: EvalReport, path) -> None:
     Header `query_path,class,mode,precision,recall`; reals carry 6 decimal
     places; LF line endings. A field holding a comma or a quote is quoted,
     so every row reads back through `csv.reader` as five fields. Reruns on
-    identical results are byte-identical.
+    identical results are byte-identical, and the CSV replaces the file whole.
     """
     if not report.per_query:
         raise ValueError("cannot emit an empty evaluation report")
     mode = report.mode.value
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["query_path", "class", "mode", "precision", "recall"])
-        for result in report.per_query:
-            writer.writerow([result.path, result.class_label, mode,
-                             f"{result.point.precision:.6f}", f"{result.point.recall:.6f}"])
-        writer.writerow(["MEAN", "", mode, f"{report.mean.precision:.6f}", f"{report.mean.recall:.6f}"])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["query_path", "class", "mode", "precision", "recall"])
+    for result in report.per_query:
+        writer.writerow([result.path, result.class_label, mode,
+                         f"{result.point.precision:.6f}", f"{result.point.recall:.6f}"])
+    writer.writerow(["MEAN", "", mode, f"{report.mean.precision:.6f}", f"{report.mean.recall:.6f}"])
+    _write_bytes(path, out.getvalue().encode("utf-8"))

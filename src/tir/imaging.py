@@ -1,4 +1,4 @@
-"""Image buffers, portable graymap/pixmap I/O, grayscale conversion, rotation.
+"""Image buffers, portable graymap/pixmap I/O, grayscale conversion, rotation, and tir's one file writer.
 
 Pixel convention used throughout the package: ``x`` indexes columns (0 at
 the left), ``y`` indexes rows (0 at the top), both zero-based. Arrays are
@@ -9,6 +9,7 @@ stored row-major as ``(height, width)`` (grayscale) or ``(height, width, 3)``
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -172,10 +173,27 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
     return cls(flat.reshape(shape))
 
 
+def _write_bytes(path, data: bytes) -> None:
+    """Write `data` to a new file beside `path` and rename it over `path`.
+
+    Readers see the old file or the new one, never a partial write; a failed
+    write leaves the old file as it was and removes the new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            out.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_pgm(image: GrayImage, path) -> None:
-    """Write a binary P5 graymap with maxval 255. Round-trips exactly through load_image."""
+    """Write a binary P5 graymap with maxval 255, replacing the file whole. Round-trips exactly through load_image."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.pixels.tobytes())
+    _write_bytes(path, header + image.pixels.tobytes())
 
 
 def rgb_to_gray(image: RgbImage) -> GrayImage:

@@ -24,16 +24,16 @@ rows: the text's grammar in `_chunk_int64s`, `_chunk_reals` and
 `_chunk_columns`, the rules on values in `_check_int64s` and `_check_rows`,
 which the column cache's rows pass too. When a chunk fails, load_index runs
 the same checks on its rows one at a time and names the first row that
-fails. The database, its column cache and manifests share one file writer,
-which replaces a file whole, and the text files one UTF-8 line reader.
+fails. Files are written by tir's one writer, `tir.imaging._write_bytes`,
+which replaces a file whole, and the text files read by one UTF-8 line reader.
 
 save_index writes the column cache `<db>.cols` after the database, bound to
 the database's bytes by its first line. Line 1 alone decides whether the
 cache applies: exactly when it is the line shown below, byte for byte, for
 the database bytes beside it. Any other cache (of another version, or beside
-a database copied or saved over) is ignored. load_index hashes the database
-bytes at most once, and only when a cache of this tag and version is there to
-check.
+a database copied or saved over) is ignored after at most 75 bytes of it are
+read. load_index hashes the database bytes at most once, and only when a
+cache of this tag and version is there to check.
 
 Column cache (`<db>.cols`, binary, little-endian), written for every database:
 
@@ -61,7 +61,6 @@ does not hold.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -72,7 +71,7 @@ import numpy as np
 
 from .corners import CornerConfig, corner_count
 from .edge import EdgeConfig
-from .imaging import GrayImage, RgbImage, decode_image, rgb_to_gray
+from .imaging import GrayImage, RgbImage, _write_bytes, decode_image, rgb_to_gray
 from .imaging import load_image  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import (
     FeatureColumns,
@@ -140,12 +139,10 @@ class FeatureRecord:
 
     def __post_init__(self):
         # Both integers become int64 columns, so they must fit in one.
-        if not 0 <= self.record_id < 2**63:
-            raise ValueError(f"record_id must lie in [0, 2**63), got {self.record_id}")
+        _check_int64s([self.record_id], "record_id")
         _check_token(self.path, "record path")
         _check_label(self.class_label)
-        if not 0 <= self.corner_count < 2**63:
-            raise ValueError(f"corner_count must lie in [0, 2**63), got {self.corner_count}")
+        _check_int64s([self.corner_count], "corner_count")
 
 
 class FeatureDatabase:
@@ -232,23 +229,6 @@ def _text_lines(data: bytes, path) -> list[str]:
     if not lines[-1]:
         lines.pop()
     return lines
-
-
-def _write_bytes(path, data: bytes) -> None:
-    """Write `data` to a new file beside `path` and rename it over `path`.
-
-    Readers see the old file or the new one, never a partial write; a failed
-    write leaves the old file as it was and removes the new one.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as out:
-            out.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _write_lines(path, lines: list[str]) -> bytes:
@@ -462,17 +442,19 @@ def _bound_sidecar(sidecar: Path, db_data: bytes) -> bytes | None:
 
     Line 1 names them when it is, byte for byte, `TIRCOLS<TAB><COLS_VERSION><TAB>`
     and their sha256 hex digest, which is computed only when line 1 starts
-    with that tag and version.
+    with that tag and version. The rest is read only when line 1 names them.
     """
+    head = f"{COLS_TAG}\t{COLS_VERSION}\t".encode()
     try:
-        data = sidecar.read_bytes()
+        cols = open(sidecar, "rb", buffering=0)  # unbuffered, so that readall() makes no second copy
     except FileNotFoundError:
         return None
-    head = f"{COLS_TAG}\t{COLS_VERSION}\t".encode()
-    if not data.startswith(head):
-        return None
-    line1 = head + hashlib.sha256(db_data).hexdigest().encode()
-    return data if data.startswith(line1) and data[len(line1):len(line1) + 1] in (b"", b"\n") else None
+    with cols:
+        if (cols.read(len(head)) != head  # then the digest and its LF, if any
+                or cols.read(65).removesuffix(b"\n") != hashlib.sha256(db_data).hexdigest().encode()):
+            return None
+        cols.seek(0)
+        return cols.readall()
 
 
 # The column cache's numeric blocks after its sizes, in file order: the

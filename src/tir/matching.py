@@ -80,21 +80,12 @@ class RankedMatch:
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """sqrt of the summed squared component differences.
-
-    Squares are products and the sum runs left to right, as in
-    `moment_distances`, so both give the same bits. (`** 2` goes through the C
-    library's pow, which is not always correctly rounded, and Python 3.12's
-    `sum` compensates rounding; either would break that agreement.)
-    """
+    """sqrt of the summed squared component differences: the one cell of `moment_distances` for `a` and `b`."""
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 1:
         raise ValueError("vectors must have at least one component")
-    total = 0.0
-    for x, y in zip(a, b):
-        total += (x - y) * (x - y)
-    return math.sqrt(total)
+    return float(moment_distances(np.array([a], np.float64), np.array([b], np.float64))[0, 0])
 
 
 def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) -> ThresholdWindow:
@@ -173,11 +164,13 @@ class FeatureColumns:
 
 
 def moment_distances(query_vectors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(queries x rows) Euclidean distances between the rows of two (., 7) float64 blocks.
+    """(queries x rows) Euclidean distances between the rows of two (., d) float64 blocks.
 
-    Each component's squared difference is a product, added to the running
-    sums one component at a time from the left, so every distance has the
-    bits of `euclidean_distance`.
+    Each squared difference is a product (`** 2` goes through the C library's
+    pow, which is not always correctly rounded), added to the running sums one
+    component at a time from the left (Python 3.12's `sum` would compensate
+    rounding). So each cell has the same bits in any block: `euclidean_distance`
+    is one cell.
     """
     total = np.zeros((len(query_vectors), len(vectors)))
     for j in range(vectors.shape[1]):

@@ -120,6 +120,20 @@ class TestGenerateRotatedDataset:
         with pytest.raises(RuntimeError, match="gone.pgm"):
             generate_rotated_dataset(Manifest((("gone.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out")
 
+    @pytest.mark.parametrize("paths, angles", [
+        (["tri.pgm", "bar.pgm"], [0.0, 10.0, 0.4]),
+        (["x/tri.pgm", "y/tri.pgm"], [0.0]),
+    ], ids=["rounded-angles", "shared-stem"])
+    def test_name_collision_writes_no_image(self, tmp_path, paths, angles):
+        for rel_path in paths:
+            (tmp_path / rel_path).parent.mkdir(exist_ok=True)
+            save_pgm(benchmark_shapes()[0][1], tmp_path / rel_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(RuntimeError, match=r"^output name collision: 'tri_rot0.pgm'$"):
+            generate_rotated_dataset(Manifest(tuple((p, "c") for p in paths)), tmp_path, angles, out)
+        assert list(out.iterdir()) == []
+
     def test_empty_angles_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_rotated_dataset(Manifest((("a.pgm", "c"),)), tmp_path, [], tmp_path / "out")
@@ -352,6 +366,18 @@ class TestEmitPrCsv:
             rows = list(csv.reader(f))
         assert [len(row) for row in rows] == [5] * 4
         assert [row[0] for row in rows[1:3]] == ["a,b.pgm"] * 2
+
+    def test_unencodable_path_leaves_the_old_csv(self, small_eval, tmp_path):
+        # A lone surrogate cannot be UTF-8: the error comes before the file is touched.
+        _, _, db = small_eval
+        report = self._report(db)
+        emit_pr_csv(report, tmp_path / "pr.csv")
+        before = (tmp_path / "pr.csv").read_bytes()
+        bad = dataclasses.replace(report.per_query[1], path="\ud800.pgm")
+        with pytest.raises(UnicodeEncodeError):
+            emit_pr_csv(dataclasses.replace(report, per_query=(report.per_query[0], bad)), tmp_path / "pr.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["pr.csv"]
+        assert (tmp_path / "pr.csv").read_bytes() == before
 
     def test_empty_report_rejected(self, tmp_path):
         report_cls = type("R", (), {})  # emit only reads attributes

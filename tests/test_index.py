@@ -4,7 +4,8 @@ import multiprocessing
 import os
 import re
 import struct
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from tir import index
 from tir.cli import run
 from tir.corners import CornerConfig, corner_count
 from tir.edge import EdgeConfig
+from tir.evaluation import EvalMode, EvalReport, PRPoint, QueryResult, emit_pr_csv
 from tir.imaging import GrayImage, RgbImage, load_image, rgb_to_gray, save_pgm
 from tir.index import (
     ExtractionConfig,
@@ -513,11 +515,17 @@ class TestPersistence:
         assert load_index(out).extraction_config == config
 
     @pytest.mark.parametrize("stage", ["write", "replace"])
-    @pytest.mark.parametrize("save", [save_index, write_manifest], ids=["save_index", "write_manifest"])
+    @pytest.mark.parametrize("save", [save_index, write_manifest, save_pgm, emit_pr_csv],
+                             ids=["save_index", "write_manifest", "save_pgm", "emit_pr_csv"])
     def test_failed_save_keeps_old_database(self, built, tmp_path, monkeypatch, stage, save):
+        # Every file tir writes goes through one writer, so each kind fails the same way.
         _, manifest, db, _ = built
+        point = PRPoint(1.0, 0.5)
+        report = EvalReport(EvalMode.HYBRID, tuple(QueryResult(p, c, point) for p, c in manifest.entries), point, 3.0)
         old, new = {save_index: (db, FeatureDatabase(db.records[:1], db.extraction_config)),
-                    write_manifest: (manifest, Manifest(manifest.entries[:1]))}[save]
+                    write_manifest: (manifest, Manifest(manifest.entries[:1])),
+                    save_pgm: (GrayImage(np.zeros((8, 8), np.uint8)), GrayImage(np.full((4, 4), 9, np.uint8))),
+                    emit_pr_csv: (report, replace(report, per_query=report.per_query[:1]))}[save]
         target = tmp_path / "db.tsv"
         save(old, target)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -540,7 +548,7 @@ class TestPersistence:
             raise OSError("disk full")
 
         if stage == "write":
-            monkeypatch.setattr("tir.index.open", FailingFile, raising=False)
+            monkeypatch.setattr("tir.imaging.open", FailingFile, raising=False)
         else:
             monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
@@ -1054,6 +1062,26 @@ class TestColumnCache:
                 load_index(tmp_path / "db.tsv")
             hashes.append(sha256.call_count)
         assert hashes == [1, 0]
+
+    @pytest.mark.parametrize("version, named", [(1, "these bytes"), (2, "other bytes")],
+                             ids=["version-1", "other-bytes"])
+    def test_a_cache_that_does_not_apply_is_read_no_further_than_line_1(self, reuse_dataset, tmp_path, version,
+                                                                          named):
+        # 8 MB past a line 1 that names these database bytes under version 1, or other bytes under version 2.
+        root, _ = reuse_dataset
+        db_file = tmp_path / "db.tsv"
+        db_file.write_bytes((root / "db.tsv").read_bytes())
+        digest = hashlib.sha256(db_file.read_bytes() if named == "these bytes" else b"other").hexdigest()
+        _cache_file(db_file).write_bytes(f"TIRCOLS\t{version}\t{digest}\n".encode() + bytes(8 << 20))
+        load_index(db_file)  # the first load may allocate once for its own sake
+        tracemalloc.start()
+        try:
+            loaded = load_index(db_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.digests is None
+        assert peak < 1 << 20
 
     def test_truncated_cache_is_exit_code_2(self, built, tmp_path, capsys):
         root, manifest, _, out = built
