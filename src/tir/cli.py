@@ -168,9 +168,9 @@ def _cmd_query(args, config: ThresholdConfig) -> int:
     db = load_index(args.db)
     image = load_image(args.image)
     matches = query(db, image, config, k=args.top, log_scale=not args.raw_moment_distance)
-    for rank, match in enumerate(matches, start=1):
-        row = db.row(match.record_id)
-        print(f"{rank}\t{db.paths[row]}\t{db.labels[row]}\t{match.corner_difference}\t{match.moment_distance:.6g}")
+    entries = db.entries([db.row(match.record_id) for match in matches])  # decodes only the rows printed
+    for rank, (match, (path, label)) in enumerate(zip(matches, entries), start=1):
+        print(f"{rank}\t{path}\t{label}\t{match.corner_difference}\t{match.moment_distance:.6g}")
     return 0
 
 

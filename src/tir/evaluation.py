@@ -94,7 +94,8 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
     Output names are `<stem>_rot<angle-in-integer-degrees>.pgm`; class labels
     are inherited from the base entry. Returns the combined manifest with
     len(base) * len(angles) entries, base-major order. Every name is checked
-    before any file is written: a collision writes nothing.
+    and every base image read before any file is written: a collision or an
+    unreadable base image writes nothing.
     """
     angles = list(angles)
     if not angles:
@@ -107,16 +108,17 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
             raise RuntimeError(f"output name collision: {name!r}")
         seen.add(name)
     root = Path(root)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries: list[tuple[str, str]] = []
-    for (rel_path, label), row in zip(base_manifest.entries, names):
+    images = []
+    for rel_path, _ in base_manifest.entries:
         try:
             image = load_image(root / rel_path)
         except Exception as exc:
             raise RuntimeError(f"base image {rel_path!r}: {exc}") from exc
-        if isinstance(image, RgbImage):
-            image = rgb_to_gray(image)
+        images.append(rgb_to_gray(image) if isinstance(image, RgbImage) else image)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries: list[tuple[str, str]] = []
+    for (_, label), image, row in zip(base_manifest.entries, images, names):
         for angle, name in zip(angles, row):
             try:
                 save_pgm(rotate(image, angle), out_dir / name)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -177,13 +178,21 @@ def _write_bytes(path, data: bytes) -> None:
     """Write `data` to a new file beside `path` and rename it over `path`.
 
     Readers see the old file or the new one, never a partial write; a failed
-    write leaves the old file as it was and removes the new one.
+    write leaves the old file as it was and removes the new one. The new
+    file takes the permission bits of the file it replaces; a file that did
+    not exist gets the default mode (0o666 less the umask).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:  # no file there (or none that can be read), so nothing to keep; the write reports the rest
+        mode = None
+    try:
         with open(tmp, "xb") as out:
             out.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -24,8 +24,11 @@ rows: the text's grammar in `_chunk_int64s`, `_chunk_reals` and
 `_chunk_columns`, the rules on values in `_check_int64s` and `_check_rows`,
 which the column cache's rows pass too. When a chunk fails, load_index runs
 the same checks on its rows one at a time and names the first row that
-fails. Files are written by tir's one writer, `tir.imaging._write_bytes`,
-which replaces a file whole, and the text files read by one UTF-8 line reader.
+fails. A column cache's rows are first tested once per block on its bytes
+(`_cached_rows_pass`), which builds no row; only when that test does not
+pass are its rows decoded and run through the same checks. Files are
+written by tir's one writer, `tir.imaging._write_bytes`, which replaces a
+file whole, and the text files read by one UTF-8 line reader.
 
 save_index writes the column cache `<db>.cols` after the database, bound to
 the database's bytes by its first line. Line 1 alone decides whether the
@@ -47,7 +50,8 @@ Column cache (`<db>.cols`, binary, little-endian), written for every database:
 
 load_index always checks lines 1-2 of the database text. When the cache
 applies, it takes the columns, paths, labels and image digests from it (the
-arrays are read-only views of its bytes); otherwise it parses the record
+arrays are read-only views of its bytes; the paths, labels and digests stay
+its bytes, decoded on first use); otherwise it parses the record
 lines, which stay the reference, and the database has no digests. A cache
 that applies but breaks its layout or a record rule is an IndexFormatError
 naming the cache.
@@ -156,6 +160,12 @@ class FeatureDatabase:
     of the image file each record was extracted from: `build_index` hashes
     the bytes it read, and `load_index` reads them from a bound column
     cache. A database made from records has none.
+
+    A database loaded from a column cache keeps the cache's path, label and
+    digest blocks as the bytes it read (LF-joined UTF-8 text, and the raw
+    32-byte digests), and decodes each into its tuple on first use, so a
+    load builds no string per record. `entries` decodes only the rows it is
+    asked for.
     """
 
     def __init__(self, records, extraction_config: ExtractionConfig):
@@ -168,20 +178,48 @@ class FeatureDatabase:
             paths=tuple(r.path for r in records),
             labels=tuple(r.class_label for r in records),
             extraction_config=extraction_config,
-            digests=None,
+            _digest_block=None,
         )
 
     @classmethod
-    def _from_columns(cls, columns: FeatureColumns, paths: tuple[str, ...], labels: tuple[str, ...],
-                      extraction_config: ExtractionConfig, digests=None) -> "FeatureDatabase":
-        """A database over columns (and digests) that load_index or build_index has validated."""
+    def _from_columns(cls, columns: FeatureColumns, extraction_config: ExtractionConfig, digest_block=None,
+                      **texts) -> "FeatureDatabase":
+        """A database over columns (and digests) that load_index or build_index has validated.
+
+        `texts` gives the paths and labels as tuples (`paths`, `labels`) or
+        as a column cache's blocks (`_path_block`, `_label_block`); the other
+        form is made from it on first use. `digest_block` is None or the
+        records' raw sha256 digests, joined in record order.
+        """
         db = cls.__new__(cls)
-        vars(db).update(columns=columns, paths=paths, labels=labels, extraction_config=extraction_config,
-                        digests=digests)
+        vars(db).update(texts, columns=columns, extraction_config=extraction_config, _digest_block=digest_block)
         return db
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FeatureDatabase is immutable; cannot set {name!r}")
+
+    @cached_property
+    def paths(self) -> tuple[str, ...]:
+        return tuple(_split_block(self._path_block))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(_split_block(self._label_block))
+
+    @cached_property
+    def _path_block(self) -> bytes:
+        return _joined_block(self.paths)
+
+    @cached_property
+    def _label_block(self) -> bytes:
+        return _joined_block(self.labels)
+
+    @cached_property
+    def digests(self) -> tuple[str, ...] | None:
+        block = self._digest_block
+        if block is None:
+            return None
+        return tuple(block.hex(" ", _DIGEST_BYTES).split(" ")) if block else ()
 
     @cached_property
     def records(self) -> tuple[FeatureRecord, ...]:
@@ -196,6 +234,25 @@ class FeatureDatabase:
     def row(self, record_id: int) -> int:
         """Position of `record_id` in record order."""
         return int(np.flatnonzero(self.columns.record_ids == record_id)[0])
+
+    def entries(self, rows) -> list[tuple[str, str]]:
+        """The (path, class_label) of each row in `rows`, decoding from the blocks only these rows."""
+        return list(zip(_block_entries(self._path_block, rows), _block_entries(self._label_block, rows)))
+
+
+def _split_block(block: bytes) -> list[str]:
+    """The entries of `block`, LF-joined UTF-8 text: none if it is empty."""
+    return block.decode("utf-8").split("\n") if block else []
+
+
+def _joined_block(texts) -> bytes:
+    return "\n".join(texts).encode("utf-8")
+
+
+def _block_entries(block: bytes, rows) -> list[str]:
+    """Entries `rows` of `block`, LF-joined UTF-8 text, each decoded on its own."""
+    bounds = np.concatenate(([-1], np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")), [len(block)]))
+    return [block[bounds[row] + 1:bounds[row + 1]].decode("utf-8") for row in rows]
 
 
 def _check_entry(path: str, label: str) -> None:
@@ -325,13 +382,13 @@ def extract_features(
     return count, hu_moments(image)
 
 
-def _read_image_file(path: Path) -> tuple[bytes, str]:
-    """The bytes of the image file at `path` and their sha256 hex digest."""
+def _read_image_file(path: Path) -> tuple[bytes, bytes]:
+    """The bytes of the image file at `path` and their raw sha256 digest."""
     data = path.read_bytes()
-    return data, hashlib.sha256(data).hexdigest()
+    return data, hashlib.sha256(data).digest()
 
 
-def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[str, int, HuVector]:
+def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[bytes, int, HuVector]:
     """The digest of `root / rel_path` and its features from one read of the file.
 
     The per-image step of `build_index`, the only place tir extracts from
@@ -366,7 +423,8 @@ def build_index(
 
     `reuse` is a database with digests extracted under `config`: an entry
     whose file has the digest of one of its records copies that record's
-    row, which extraction would reproduce bit for bit. Only the other
+    row, which extraction would reproduce bit for bit; digests are compared
+    as raw 32-byte values, so `reuse.digests` is never built. Only the other
     entries are extracted; when none is left, no worker starts. An entry the
     parent cannot read for its digest is left to its worker, which fails too.
     """
@@ -381,9 +439,10 @@ def build_index(
     n = len(paths)
     digests = [None] * n
     counts, hu = np.empty(n, np.int64), np.empty((n, 7))
-    known = {}  # digest -> row of `reuse`
-    if reuse is not None and reuse.digests is not None and reuse.extraction_config == config:
-        known = {digest: row for row, digest in enumerate(reuse.digests)}
+    known = {}  # raw digest -> row of `reuse`
+    if reuse is not None and reuse._digest_block and reuse.extraction_config == config:
+        block = reuse._digest_block
+        known = {block[at:at + _DIGEST_BYTES]: row for row, at in enumerate(range(0, len(block), _DIGEST_BYTES))}
     pending = range(n)  # entries to extract
     if known:
         pending = []
@@ -405,7 +464,7 @@ def build_index(
     for idx, (digest, count, hu_vector) in zip(pending, extracted):
         digests[idx], counts[idx], hu[idx] = digest, count, hu_vector.phi
     columns = FeatureColumns(np.arange(n, dtype=np.int64), counts, hu, log_magnitude_array(hu))
-    db = FeatureDatabase._from_columns(columns, paths, labels, config, tuple(digests))
+    db = FeatureDatabase._from_columns(columns, config, b"".join(digests), paths=paths, labels=labels)
     if out is not None:
         save_index(db, out)
     return db
@@ -472,8 +531,8 @@ _DIGEST_BYTES = 32  # one sha256
 def _cols_bytes(db: FeatureDatabase, db_sha256: str) -> bytes:
     """The column cache of `db`, bound to the database bytes whose sha256 hex digest is `db_sha256`."""
     head = f"{COLS_TAG}\t{COLS_VERSION}\t{db_sha256}\n".encode()
-    texts = ["\n".join(db.paths).encode("utf-8"), "\n".join(db.labels).encode("utf-8")]
-    digests = bytes.fromhex("".join(db.digests or ()))
+    texts = [db._path_block, db._label_block]
+    digests = db._digest_block or b""
     sizes = np.array([len(db.columns), *map(len, texts), len(digests)], "<i8")
     blocks = [getattr(db.columns, name).astype(dtype.base, copy=False) for name, dtype in _COLS_BLOCKS]
     return b"".join([head, bytes(-len(head) % 8), sizes.tobytes(), *(b.tobytes() for b in blocks), digests, *texts])
@@ -486,8 +545,37 @@ def _check_cached_rows(ids, counts, hu, log_hu, paths, labels, seen_ids) -> None
     _check_rows(ids, hu, log_hu, paths, labels, seen_ids)
 
 
+# The bytes other than LF at which str.split() cuts ASCII text: a label holds none of them.
+_ASCII_SPACES = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+def _block_holds_entries(block: bytes, forbidden: bytes) -> bool:
+    """Whether no entry of `block`, LF-joined with at least one entry, is empty or holds a byte of `forbidden`."""
+    return not (block.startswith(b"\n") or block.endswith(b"\n") or b"\n\n" in block
+                or any(byte in block for byte in forbidden))
+
+
+def _cached_rows_pass(ids, counts, hu, log_hu, path_block: bytes, label_block: bytes) -> bool:
+    """Whether `_check_cached_rows` would pass every row, tested once per block without building a row.
+
+    True only if it would. The blocks hold one entry per row, in valid
+    UTF-8, so TAB, CR and LF bytes are those characters. Ids that do not
+    increase, or labels that are not all ASCII, give False without a
+    verdict: the rows are then checked one by one, as are rows that break
+    a rule, which names the first of them.
+    """
+    if not len(ids):
+        return True
+    return bool(
+        ids.min() >= 0 and counts.min() >= 0 and (ids[1:] > ids[:-1]).all()
+        and np.isfinite(hu).all() and np.isfinite(log_hu).all()
+        and _block_holds_entries(path_block, b"\t\r")
+        and label_block.isascii() and _block_holds_entries(label_block, _ASCII_SPACES)
+    )
+
+
 def _cached_columns(cols_file: Path, data: bytes):
-    """The columns, paths, labels and image digests (or None) in `data`, the bytes of a bound column cache.
+    """The columns, path and label blocks and raw digest block (or None) in `data`, the bytes of a bound column cache.
 
     A layout other than the module docstring's, or a row that breaks a value
     rule, is an IndexFormatError naming `cols_file`.
@@ -508,22 +596,24 @@ def _cached_columns(cols_file: Path, data: bytes):
     for name, dtype in _COLS_BLOCKS:
         columns[name] = np.frombuffer(data, dtype, n, offset)
         offset += n * dtype.itemsize
-    digests = None
-    if digests_size:  # any 32 bytes are a sha256; as in build_index, each is held as 64 hex digits
-        digests = tuple(data[offset:offset + digests_size].hex(" ", _DIGEST_BYTES).split(" "))
-        offset += digests_size
+    digest_block = data[offset:offset + digests_size] or None  # any 32 bytes are a sha256
+    offset += digests_size
     paths_end = offset + text_sizes[0]
-    try:
-        paths, labels = (text.decode("utf-8") for text in (data[offset:paths_end], data[paths_end:]))
-    except UnicodeDecodeError:
-        raise IndexFormatError(f"{cols_file}: paths or labels not valid UTF-8") from None
-    paths, labels = (text.split("\n") if text else [] for text in (paths, labels))
-    if len(paths) != n or len(labels) != n:
-        raise IndexFormatError(f"{cols_file}: {len(paths)} paths and {len(labels)} labels for {n} records")
-    rows = (columns["record_ids"].tolist(), columns["corner_counts"].tolist(), columns["hu"], columns["log_hu"],
-            paths, labels)
-    _checked_rows(_check_cached_rows, rows, set(), cols_file, "record", 1)
-    return FeatureColumns(**columns), tuple(paths), tuple(labels), digests
+    texts = data[offset:paths_end], data[paths_end:]
+    for block in texts:
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError:
+                raise IndexFormatError(f"{cols_file}: paths or labels not valid UTF-8") from None
+    entry_counts = [block.count(b"\n") + 1 if block else 0 for block in texts]
+    if entry_counts != [n, n]:
+        raise IndexFormatError(f"{cols_file}: {entry_counts[0]} paths and {entry_counts[1]} labels for {n} records")
+    if not _cached_rows_pass(*columns.values(), *texts):
+        rows = (columns["record_ids"].tolist(), columns["corner_counts"].tolist(), columns["hu"], columns["log_hu"],
+                *map(_split_block, texts))
+        _checked_rows(_check_cached_rows, rows, set(), cols_file, "record", 1)
+    return FeatureColumns(**columns), *texts, digest_block
 
 
 # The CFG line, in line order: each key, the ExtractionConfig group and field
@@ -701,12 +791,12 @@ def load_index(path) -> FeatureDatabase:
         lines = _text_lines(data, path)
         config = _parse_head(lines, path)
         columns, paths, labels = _parsed_columns(lines, path)
-        digests = None
-    else:
-        head = data[:data.find(b"\n", data.find(b"\n") + 1) + 1] or data  # lines 1-2, or all if fewer
-        config = _parse_head(_text_lines(head, path), path)
-        columns, paths, labels, digests = _cached_columns(cols_file, cached)
-    return FeatureDatabase._from_columns(columns, paths, labels, config, digests)
+        return FeatureDatabase._from_columns(columns, config, paths=paths, labels=labels)
+    head = data[:data.find(b"\n", data.find(b"\n") + 1) + 1] or data  # lines 1-2, or all if fewer
+    config = _parse_head(_text_lines(head, path), path)
+    columns, path_block, label_block, digest_block = _cached_columns(cols_file, cached)
+    return FeatureDatabase._from_columns(columns, config, digest_block, _path_block=path_block,
+                                         _label_block=label_block)
 
 
 def query(

@@ -495,6 +495,17 @@ class TestGenRotations:
         assert len(list((tmp_path / "out").glob("*.pgm"))) == 3
         assert capsys.readouterr().out == ""
 
+    def test_missing_second_base_image_writes_nothing(self, base_dataset, tmp_path, capsys):
+        # Every base image is read before the first write, so the first entry's rotations are not left behind.
+        (tmp_path / "m.tsv").write_text(f"{base_dataset / 'tri_wide.pgm'}\ttri_wide\ngone.pgm\tgone\n")
+        code = run(["gen-rotations", "--manifest", str(tmp_path / "m.tsv"), "--root", str(tmp_path),
+                    "--angles", "0,90", "--out-dir", str(tmp_path / "out"),
+                    "--out-manifest", str(tmp_path / "rot.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("tir gen-rotations: error: base image 'gone.pgm': ")
+        assert list(tmp_path.rglob("*_rot*.pgm")) == []
+        assert not (tmp_path / "rot.tsv").exists()
+
 
 class TestPipeline:
     def test_query_self_retrieval_and_output_format(self, indexed, capsys):

@@ -120,6 +120,14 @@ class TestGenerateRotatedDataset:
         with pytest.raises(RuntimeError, match="gone.pgm"):
             generate_rotated_dataset(Manifest((("gone.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out")
 
+    def test_unreadable_base_image_writes_no_image(self, tmp_path):
+        save_pgm(benchmark_shapes()[0][1], tmp_path / "a.pgm")
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
+        with pytest.raises(RuntimeError, match=r"^base image 'bad.pgm': "):
+            generate_rotated_dataset(Manifest((("a.pgm", "c"), ("bad.pgm", "c"))), tmp_path, [0.0, 90.0],
+                                     tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("paths, angles", [
         (["tri.pgm", "bar.pgm"], [0.0, 10.0, 0.4]),
         (["x/tri.pgm", "y/tri.pgm"], [0.0]),

@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,23 @@ class TestSavePgm:
         img = GrayImage(np.array([[1]], dtype=np.uint8))
         with pytest.raises(OSError):
             save_pgm(img, tmp_path / "missing-dir" / "x.pgm")
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
+    def test_rewrite_keeps_the_permission_bits(self, tmp_path, mode):
+        path = tmp_path / "x.pgm"
+        save_pgm(GrayImage(np.array([[1]], dtype=np.uint8)), path)
+        path.chmod(mode)
+        save_pgm(GrayImage(np.array([[2]], dtype=np.uint8)), path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert load_image(path).pixels.tolist() == [[2]]
+
+    def test_new_file_gets_the_umask_default(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            save_pgm(GrayImage(np.array([[1]], dtype=np.uint8)), tmp_path / "x.pgm")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "x.pgm").stat().st_mode) == 0o640
 
 
 class TestRgbToGray:

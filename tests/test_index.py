@@ -890,6 +890,23 @@ def _packed(fmt, at, value):
     return lambda data: data[:at] + struct.pack(fmt, value) + data[at + struct.calcsize(fmt):]
 
 
+def _with_texts(paths: bytes, labels: bytes):
+    """An edit of a column cache that puts `paths` and `labels` in place of its path and label blocks."""
+    def edit(data):
+        n, paths_size, labels_size, digests_size = struct.unpack_from("<4q", data, SIZES_AT)
+        body = data[:len(data) - paths_size - labels_size]
+        sizes = struct.pack("<4q", n, len(paths), len(labels), digests_size)
+        return body[:SIZES_AT] + sizes + body[SIZES_AT + len(sizes):] + paths + labels
+    return edit
+
+
+def _with_ids(*ids):
+    return lambda data: data[:BLOCK_AT["record_ids"]] + struct.pack("<3q", *ids) + data[BLOCK_AT["corner_counts"]:]
+
+
+THREE_PATHS, THREE_LABELS = b"0.pgm\n1.pgm\n2.pgm", b"a\na\na"
+
+
 configs = st.sampled_from([
     ExtractionConfig(),
     ExtractionConfig(EdgeConfig(0), CornerConfig(kappa=0.1, window_sigma=1e-100, nms_radius=2**63 - 1)),
@@ -905,8 +922,8 @@ class TestColumnCache:
     def test_loads_bit_equal_to_the_text_parse(self, db_dir, records, config, digest_seed, chunk):
         db = FeatureDatabase(records, config)
         if digest_seed is not None:
-            digests = tuple(hashlib.sha256(f"{digest_seed}{i}".encode()).hexdigest() for i in range(len(records)))
-            db = FeatureDatabase._from_columns(db.columns, db.paths, db.labels, config, digests)
+            digests = b"".join(hashlib.sha256(f"{digest_seed}{i}".encode()).digest() for i in range(len(records)))
+            db = FeatureDatabase._from_columns(db.columns, config, digests, paths=db.paths, labels=db.labels)
         db_file = db_dir / "cached.tsv"
         save_index(db, db_file)
         with mock.patch.object(index, "_parsed_columns", side_effect=AssertionError("the text was parsed")):
@@ -1021,17 +1038,40 @@ class TestColumnCache:
         (lambda data: data.replace(b"a\na\na", b"a\n \na"), r"record 2: class label must be a single token"),
         (lambda data: _packed("<q", SIZES_AT + 16, 8)(data[:-5] + "a\nb\u0085c\na".encode()),  # U+0085 splits
          r"record 2: class label must be a single token: 'b\\x85c'$"),
+        (_with_texts(b"\n1.pgm\n2.pgm", THREE_LABELS),
+         r"record 1: record path must not contain a tab or carriage return or be empty: ''"),
+        (_with_texts(b"0.pgm\n1.pgm\n", THREE_LABELS),
+         r"record 3: record path must not contain a tab or carriage return or be empty: ''"),
+        (_with_texts("é.pgm\n1.pgm\n\t.pgm".encode(), THREE_LABELS),
+         r"record 3: record path must not contain a tab or carriage return or be empty: '\\t.pgm'"),
+        (_with_texts(THREE_PATHS, b"a\na b\na"), r"record 2: class label must be a single token: 'a b'"),
+        (_with_texts(THREE_PATHS, "a\na\u00a0b\na".encode()),
+         r"record 2: class label must be a single token: 'a\\xa0b'"),
+        (_with_texts(THREE_PATHS, b"a\na\na\x1cb"), r"record 3: class label must be a single token: 'a\\x1cb'"),
+        (_with_texts(THREE_PATHS, b"a\n\na"), r"record 2: class label must be a single token: ''"),
+        (_with_texts(THREE_PATHS, "é\na\na\x0b".encode()), r"record 3: class label must be a single token: 'a\\x0b'"),
+        (_with_texts(THREE_PATHS, b"a\na\n\xc3"), r"paths or labels not valid UTF-8$"),
+        (_with_texts("0.pgm\n1.pgm\n2.pgm\ud800".encode("utf-8", "surrogatepass"), THREE_LABELS),
+         r"paths or labels not valid UTF-8$"),
+        (_with_ids(-5, 0, 1), r"record 1: record_id must lie in \[0, 2\*\*63\), got -5$"),
     ], ids=["cut", "extended", "padding", "no-sizes", "n", "negative-size", "block-lengths", "digest-block-absent",
             "digest-size-one-record", "negative-digest-size", "not-utf8",
             "path-count", "negative-id", "duplicate-id", "negative-count", "nan-hu", "inf-log-hu", "tab-in-path",
-            "cr-in-path", "blank-label", "two-token-label"])
-    def test_bound_cache_breaking_its_layout_or_a_record_rule_is_an_error(self, tmp_path, edit, message):
-        # A record that breaks a rule is named by its row.
+            "cr-in-path", "blank-label", "two-token-label",
+            "empty-first-path", "empty-last-path", "tab-after-non-ascii-path", "space-in-label", "nbsp-in-label",
+            "fs-in-label", "empty-label", "vt-after-non-ascii-label", "label-cut-utf8", "path-surrogate",
+            "negative-first-of-increasing-ids"])
+    def test_bound_cache_breaking_its_layout_or_a_record_rule_is_an_error(self, tmp_path, scene, capsys, edit,
+                                                                          message):
+        # A record that breaks a rule is named by its row, and `tir query` exits 2 with the same message.
         db_file = _three_records_db(tmp_path)
         cache = _cache_file(db_file)
         cache.write_bytes(edit(cache.read_bytes()))
         with pytest.raises(IndexFormatError, match=rf"^{re.escape(str(cache))}: {message}"):
             load_index(db_file)
+        save_pgm(scene, tmp_path / "q.pgm")
+        assert run(["query", "--db", str(db_file), "--image", str(tmp_path / "q.pgm")]) == 2
+        assert re.match(rf"tir query: error: {re.escape(str(cache))}: {message}", capsys.readouterr().err)
 
     def test_save_failing_after_the_text_leaves_a_stale_cache(self, tmp_path, monkeypatch):
         db_file = _three_records_db(tmp_path)
@@ -1091,6 +1131,83 @@ class TestColumnCache:
         cache.write_bytes(cache.read_bytes()[:-1])
         assert run(["query", "--db", str(tmp_path / out.name), "--image", str(root / manifest.entries[0][0])]) == 2
         assert capsys.readouterr().err.startswith(f"tir query: error: {cache}: ")
+
+
+class TestLazyTexts:
+    """A load from the column cache keeps its path, label and digest blocks as bytes and decodes them on first use.
+
+    What the blocks decode to is what the eager tuples and the text parse
+    give. Rows that the block test leaves to the row checks (ids that do not
+    increase, labels that are not ASCII) load when those checks pass.
+    """
+
+    @given(record_lists(), st.booleans())
+    @example(records=(), with_digests=True)
+    @example(records=(FeatureRecord(5, "carré.pgm", "a", 1, HuVector((1.0,) * 7)),), with_digests=True)
+    @example(records=(FeatureRecord(0, "日本/商標.pgm", "商標", 0, HuVector((2.0,) * 7)),
+                      FeatureRecord(1, "x.pgm", "b", 1, HuVector((3.0,) * 7))), with_digests=False)
+    @settings(max_examples=150, deadline=None)
+    def test_decoded_blocks_equal_the_eager_tuples_and_the_text_parse(self, db_dir, records, with_digests):
+        db = FeatureDatabase(records, ExtractionConfig())
+        hexes = None
+        if with_digests:
+            raw = [hashlib.sha256(str(i).encode()).digest() for i in range(len(records))]
+            hexes = tuple(d.hex() for d in raw)
+            db = FeatureDatabase._from_columns(db.columns, db.extraction_config, b"".join(raw),
+                                               paths=db.paths, labels=db.labels)
+        db_file = db_dir / "lazy.tsv"
+        save_index(db, db_file)
+        loaded = load_index(db_file)
+        assert not {"paths", "labels", "digests", "records"} & set(vars(loaded))
+        rows = list(range(len(records)))[::-1]
+        assert loaded.entries(rows) == [(records[r].path, records[r].class_label) for r in rows]
+        assert not {"paths", "labels"} & set(vars(loaded))  # entries decodes only the rows it returns
+        assert loaded.paths == db.paths == tuple(r.path for r in records)
+        assert loaded.labels == db.labels == tuple(r.class_label for r in records)
+        assert loaded.digests == (hexes or None)  # with no records, D = 0 reads as no digests
+        _cache_file(db_file).unlink()
+        parsed = load_index(db_file)
+        assert (parsed.paths, parsed.labels) == (loaded.paths, loaded.labels)
+        assert parsed.records == loaded.records
+
+    def test_a_load_leaves_paths_and_labels_undecoded_until_read(self, tmp_path):
+        db = load_index(_three_records_db(tmp_path))
+        assert "paths" not in vars(db) and "labels" not in vars(db)
+        assert db.labels == ("a", "a", "a")
+        assert "paths" not in vars(db) and "labels" in vars(db)
+        assert db.paths == ("0.pgm", "1.pgm", "2.pgm")
+        assert "paths" in vars(db)
+
+    def test_cli_query_decodes_only_the_rows_it_prints(self, built, capsys):
+        root, manifest, _, out = built
+        argv = ["query", "--db", str(out), "--image", str(root / manifest.entries[1][0])]
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        with mock.patch.object(index, "_split_block", side_effect=AssertionError("a block was decoded whole")):
+            assert run(argv) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_reuse_compares_raw_digests_without_building_hex_ones(self, reuse_dataset):
+        root, entries = reuse_dataset
+        db = load_index(root / "db.tsv")
+        queries = build_index(Manifest(tuple(entries[:3])), root, reuse=db)
+        assert "digests" not in vars(db)
+        assert queries.digests == db.digests
+
+    @pytest.mark.parametrize("ids", [(2, 0, 1), (0, 2, 1), (9, 5, 2**63 - 1)])
+    def test_unsorted_unique_ids_load(self, tmp_path, ids):
+        db_file = _three_records_db(tmp_path)
+        cache = _cache_file(db_file)
+        cache.write_bytes(_with_ids(*ids)(cache.read_bytes()))
+        loaded = load_index(db_file)
+        assert loaded.columns.record_ids.tolist() == list(ids)
+        assert loaded.paths == ("0.pgm", "1.pgm", "2.pgm")
+
+    def test_labels_that_are_not_ascii_load(self, tmp_path):
+        db_file = _three_records_db(tmp_path)
+        cache = _cache_file(db_file)
+        cache.write_bytes(_with_texts(THREE_PATHS, "a\nè\nß".encode())(cache.read_bytes()))
+        assert load_index(db_file).labels == ("a", "è", "ß")
 
 
 class TestLoadedDatabaseBuildsNoRecords:
