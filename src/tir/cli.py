@@ -27,7 +27,7 @@ from .corners import CornerConfig
 from .edge import EdgeConfig
 from .evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
 from .imaging import load_image
-from .index import ExtractionConfig, build_index, load_index, query, read_manifest, write_manifest
+from .index import ExtractionConfig, _split_digests, build_index, load_index, query, read_manifest, write_manifest
 from .matching import ThresholdConfig
 from .parallel import usable_cpus
 
@@ -177,12 +177,12 @@ def _cmd_query(args, config: ThresholdConfig) -> int:
 def _cmd_eval(args, config: ThresholdConfig) -> int:
     db = load_index(args.db)
     manifest = read_manifest(args.manifest)
-    if db.digests is None:
+    if db._digest_block is None:
         print(f"tir eval: {args.db} carries no image digests, so every query is extracted", file=sys.stderr)
-    # A query image the database holds byte for byte takes its record's features.
+    # A query image the database holds byte for byte takes its record's features. The reused ones are
+    # counted on the raw digests, in the map that build_index looked them up in: no hex digest is built.
     queries = build_index(manifest, args.root, db.extraction_config, jobs=args.jobs, reuse=db)
-    indexed = set(db.digests or ())
-    reused = sum(digest in indexed for digest in queries.digests)
+    reused = sum(digest in db._digest_rows for digest in _split_digests(queries._digest_block))
     # The mode goes by keyword: perfbench/tracing.py names the eval span from args[3] or kwargs["mode"].
     report = evaluate(db, queries, mode=EvalMode(args.mode), threshold_cfg=config, k=args.top,
                       exclude_self=args.exclude_self)

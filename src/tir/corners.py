@@ -4,6 +4,13 @@ The response is R = det(M) - kappa * trace(M)^2 where M is the structure
 tensor of Gaussian-weighted Sobel gradient products accumulated over a
 square window. In the retrieval pipeline the metric runs on the edge map
 (mapped to intensities {0, 255}), not on the raw grayscale image.
+
+The response is formed only at the pixels whose window can make it
+nonzero, and non-maximum suppression reads only the nonzero responses,
+through a small integer label plane. `corner_count` chains the two without
+building the float response matrix or any padded float plane, and
+`corner_metric` and `corner_peaks` give the whole-image results of the
+dense formulations bit for bit.
 """
 
 from __future__ import annotations
@@ -93,17 +100,15 @@ def _product_table(ix: np.ndarray, iy: np.ndarray, nonzero: np.ndarray) -> tuple
 
 
 def _window_sums(
-    ix: np.ndarray, iy: np.ndarray, nonzero: np.ndarray, active: np.ndarray, window: np.ndarray
+    ix: np.ndarray, iy: np.ndarray, nonzero: np.ndarray, positions: np.ndarray, width: int, window: np.ndarray
 ) -> np.ndarray:
-    """Rows a, b, c: the `window`-weighted sums of Ix^2, Iy^2 and IxIy at each
-    `active` pixel in row-major order; `ix`, `iy` and `nonzero` are padded by
-    the window radius."""
+    """Rows a, b, c: the `window`-weighted sums of Ix^2, Iy^2 and IxIy at the
+    pixels at flat `positions` of an image `width` wide, in that order;
+    `ix`, `iy` and `nonzero` are padded by the window radius."""
     table, label = _product_table(ix, iy, nonzero)
     size = len(window)
-    w = active.shape[1]
     padded_w = ix.shape[1]
-    corner = np.flatnonzero(active)
-    corner += (size - 1) * (corner // w)  # each window's top-left, flat in the padded frame
+    corner = positions + (size - 1) * (positions // width)  # each window's top-left, flat in the padded frame
     sums = np.zeros((3, len(corner)), dtype=np.float64)
     terms = np.empty_like(sums)
     for dy in range(size):
@@ -115,6 +120,58 @@ def _window_sums(
                 terms *= weight
                 sums += terms
     return sums
+
+
+def _replicate_border(frame: np.ndarray, r: int) -> None:
+    """Fill the r-wide border of `frame` from its inside, as np.pad's "edge" mode would."""
+    frame[:r] = frame[r]
+    frame[-r:] = frame[-r - 1]
+    frame[:, :r] = frame[:, r : r + 1]
+    frame[:, -r:] = frame[:, -r - 1 : -r]
+
+
+def _response(image: BinaryImage | GrayImage, config: CornerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions, in row-major order, of the active pixels, and their Harris responses.
+
+    Every other pixel's response is exactly +0.0; see corner_metric.
+    """
+    h, w = image.pixels.shape
+    r = config.window_radius
+    p = np.empty((h + 2, w + 2), dtype=np.int16)
+    inner = p[1:-1, 1:-1]
+    inner[...] = image.pixels
+    if isinstance(image, BinaryImage):
+        inner *= 255
+    _replicate_border(p, 1)
+    # Sobel, straight into the inside of the r-padded frames: Ix = d[y-1] + 2 d[y] + d[y+1] for the
+    # column differences d, Iy = s[y+1] - s[y-1] for the row sums s = p[x-1] + 2 p[x] + p[x+1].
+    ix = np.empty((h + 2 * r, w + 2 * r), dtype=np.int16)
+    iy = np.empty_like(ix)
+    diff = p[:, 2:] - p[:, :-2]
+    core = np.add(diff[:-2], diff[2:], out=ix[r : r + h, r : r + w])
+    core += diff[1:-1]
+    core += diff[1:-1]
+    smooth = p[:, :-2] + p[:, 2:]
+    smooth += p[:, 1:-1]
+    smooth += p[:, 1:-1]
+    np.subtract(smooth[2:], smooth[:-2], out=iy[r : r + h, r : r + w])
+    _replicate_border(ix, r)
+    _replicate_border(iy, r)
+
+    size = 2 * r + 1
+    nonzero = (ix != 0) | (iy != 0)
+    rows = np.zeros((h + 2 * r, w), dtype=bool)
+    for dx in range(size):
+        rows |= nonzero[:, dx : dx + w]
+    active = np.zeros((h, w), dtype=bool)
+    for dy in range(size):
+        active |= rows[dy : dy + h]
+
+    positions = np.flatnonzero(active)
+    if not len(positions):
+        return positions, np.empty(0, dtype=np.float64)
+    a, b, c = _window_sums(ix, iy, nonzero, positions, w, gaussian_kernel(r, config.window_sigma))
+    return positions, (a * b - c * c) - config.kappa * (a + b) ** 2
 
 
 def corner_metric(image: BinaryImage | GrayImage, config: CornerConfig = CornerConfig()) -> np.ndarray:
@@ -139,34 +196,49 @@ def corner_metric(image: BinaryImage | GrayImage, config: CornerConfig = CornerC
       starting from +0.0. These are the dense version's float operations in
       its order, which is what keeps the bits.
     """
-    pixels = image.pixels.astype(np.int16)
-    if isinstance(image, BinaryImage):
-        pixels *= 255
-    h, w = pixels.shape
-    p = np.pad(pixels, 1, mode="edge")
-    diff = p[:, 2:] - p[:, :-2]
-    ix = diff[:-2] + 2 * diff[1:-1] + diff[2:]
-    smooth = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
-    iy = smooth[2:] - smooth[:-2]
-
-    r = config.window_radius
-    size = 2 * r + 1
-    ix = np.pad(ix, r, mode="edge")
-    iy = np.pad(iy, r, mode="edge")
-    nonzero = (ix != 0) | (iy != 0)
-    rows = np.zeros((h + 2 * r, w), dtype=bool)
-    for dx in range(size):
-        rows |= nonzero[:, dx : dx + w]
-    active = np.zeros((h, w), dtype=bool)
-    for dy in range(size):
-        active |= rows[dy : dy + h]
-
-    if not active.any():
-        return np.zeros((h, w), dtype=np.float64)
-    a, b, c = _window_sums(ix, iy, nonzero, active, gaussian_kernel(r, config.window_sigma))
-    out = np.zeros((h, w), dtype=np.float64)
-    out[active] = (a * b - c * c) - config.kappa * (a + b) ** 2
+    positions, values = _response(image, config)
+    out = np.zeros(image.pixels.shape, dtype=np.float64)
+    out.ravel()[positions] = values
     return out
+
+
+def _peaks(shape: tuple[int, int], positions: np.ndarray, values: np.ndarray, config: CornerConfig) -> np.ndarray:
+    """Flat positions, in row-major order, of the NMS survivors of a response
+    matrix of `shape` that holds `values` at the row-major flat `positions`
+    and 0.0 everywhere else; see corner_peaks for the rule.
+
+    Neighbours are looked up through a label plane padded by the clamped
+    radius, of the smallest integer type that fits: label i > 0 is
+    values[i - 1], and 0 is a zero response or the outside of the image.
+    Either loses to a positive candidate, as 0.0 and -inf do in the whole-image
+    pass.
+    """
+    h, w = shape
+    # The implicit zeros count towards the maximum, unless every pixel is listed.
+    global_max = float(values.max() if len(values) == h * w else values.max(initial=0.0))
+    if global_max <= 0.0:
+        return np.empty(0, dtype=np.intp)
+    ry = min(config.nms_radius, h - 1)
+    rx = min(config.nms_radius, w - 1)
+    pw = w + 2 * rx
+    ys, xs = np.divmod(positions, w)
+    padded = (ys + ry) * pw + (xs + rx)
+    label = np.zeros((h + 2 * ry) * pw, dtype=np.min_scalar_type(len(values)))
+    label[padded] = np.arange(1, len(values) + 1)
+    table = np.concatenate(([0.0], values))
+    above = (values > 0.0) & (values >= config.peak_rel_threshold * global_max)
+    cand, vals = padded[above], values[above]
+    keep = np.ones(len(cand), dtype=bool)
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            if dy == 0 and dx == 0:
+                continue
+            neighbour = table.take(label.take(cand + (dy * pw + dx)))
+            if dy < 0 or (dy == 0 and dx < 0):
+                keep &= neighbour < vals  # earlier pixel wins ties
+            else:
+                keep &= neighbour <= vals
+    return positions[above][keep]
 
 
 def corner_peaks(metric: np.ndarray, config: CornerConfig = CornerConfig()) -> CornerSet:
@@ -177,45 +249,24 @@ def corner_peaks(metric: np.ndarray, config: CornerConfig = CornerConfig()) -> C
     Chebyshev nms_radius neighbourhood; exact ties are resolved in favour of
     the first pixel in row-major order.
 
-    Only the pixels that pass the first two tests are compared with their
-    neighbours. Each comparison is the one a whole-image pass would make
-    (``<`` against earlier neighbours, ``<=`` against later ones, -inf
-    outside the image), so the survivors are the same, and they come out in
-    row-major order. A neighbourhood offset of h or more rows, or w or more
-    columns, only ever reaches the -inf border, so the radius is clamped per
-    axis to h - 1 and w - 1: the cost is bounded by the image, not by
-    nms_radius.
+    Only the nonzero entries are stored, and only the pixels that pass the
+    first two tests are compared with their neighbours. Each comparison is
+    the one a whole-image pass would make (``<`` against earlier neighbours,
+    ``<=`` against later ones, -inf outside the image), so the survivors are
+    the same, and they come out in row-major order. A neighbourhood offset
+    of h or more rows, or w or more columns, only ever reaches the -inf
+    border, so the radius is clamped per axis to h - 1 and w - 1: the cost
+    is bounded by the image, not by nms_radius.
     """
     m = np.asarray(metric, dtype=np.float64)
-    global_max = float(m.max())
-    if global_max <= 0.0:
-        return CornerSet(())
-    h, w = m.shape
-    ry = min(config.nms_radius, h - 1)
-    rx = min(config.nms_radius, w - 1)
-    pw = w + 2 * rx
-    padded = np.full((h + 2 * ry, pw), -np.inf)
-    padded[ry : ry + h, rx : rx + w] = m
-    flat = padded.ravel()
-    cand = np.flatnonzero(padded > 0.0)
-    vals = flat.take(cand)
-    above = vals >= config.peak_rel_threshold * global_max
-    cand, vals = cand[above], vals[above]
-    keep = np.ones(len(cand), dtype=bool)
-    for dy in range(-ry, ry + 1):
-        for dx in range(-rx, rx + 1):
-            if dy == 0 and dx == 0:
-                continue
-            neighbour = flat.take(cand + (dy * pw + dx))
-            if dy < 0 or (dy == 0 and dx < 0):
-                keep &= neighbour < vals  # earlier pixel wins ties
-            else:
-                keep &= neighbour <= vals
-    ys, xs = np.divmod(cand[keep], pw)
-    return CornerSet(tuple(zip((xs - rx).tolist(), (ys - ry).tolist())))
+    flat = m.ravel()
+    positions = np.flatnonzero(flat)
+    kept = _peaks(m.shape, positions, flat.take(positions), config)
+    ys, xs = np.divmod(kept, m.shape[1])
+    return CornerSet(tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def corner_count(image: GrayImage, edge_cfg: EdgeConfig = EdgeConfig(), corner_cfg: CornerConfig = CornerConfig()) -> int:
     """Number of corner peaks on the Prompt edge map of `image`."""
     edges = prompt_edge(image, edge_cfg)
-    return corner_peaks(corner_metric(edges, corner_cfg), corner_cfg).count
+    return len(_peaks(edges.pixels.shape, *_response(edges, corner_cfg), corner_cfg))

@@ -222,6 +222,15 @@ class FeatureDatabase:
         return tuple(block.hex(" ", _DIGEST_BYTES).split(" ")) if block else ()
 
     @cached_property
+    def _digest_rows(self) -> dict[bytes, int]:
+        """The row of each raw image digest (the last row, if several records have it); empty without digests.
+
+        `build_index(reuse=)` looks images up here and `tir eval` counts the reused ones, so neither builds
+        `digests`, and the second pays nothing for the map the first made.
+        """
+        return {digest: row for row, digest in enumerate(_split_digests(self._digest_block or b""))}
+
+    @cached_property
     def records(self) -> tuple[FeatureRecord, ...]:
         cols = self.columns
         return tuple(
@@ -238,6 +247,11 @@ class FeatureDatabase:
     def entries(self, rows) -> list[tuple[str, str]]:
         """The (path, class_label) of each row in `rows`, decoding from the blocks only these rows."""
         return list(zip(_block_entries(self._path_block, rows), _block_entries(self._label_block, rows)))
+
+
+def _split_digests(block: bytes) -> list[bytes]:
+    """The raw 32-byte sha256 digests joined in `block`, in order."""
+    return [block[at:at + _DIGEST_BYTES] for at in range(0, len(block), _DIGEST_BYTES)]
 
 
 def _split_block(block: bytes) -> list[str]:
@@ -441,8 +455,7 @@ def build_index(
     counts, hu = np.empty(n, np.int64), np.empty((n, 7))
     known = {}  # raw digest -> row of `reuse`
     if reuse is not None and reuse._digest_block and reuse.extraction_config == config:
-        block = reuse._digest_block
-        known = {block[at:at + _DIGEST_BYTES]: row for row, at in enumerate(range(0, len(block), _DIGEST_BYTES))}
+        known = reuse._digest_rows
     pending = range(n)  # entries to extract
     if known:
         pending = []

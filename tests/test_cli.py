@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tir import index
+from tir import cli, index
 from tir.cli import build_parser, run
 from tir.imaging import GrayImage, save_pgm
 from tir.index import (ExtractionConfig, FeatureDatabase, Manifest, load_index, read_manifest, save_index,
@@ -581,6 +581,26 @@ class TestPipeline:
             *["mode=hybrid queries=3 reused=0 extracted=3"] * 2,
         ]
         assert len({csv for csv, _ in runs[:4]}) == 1 and len({csv for csv, _ in runs[4:]}) == 1
+
+    def test_eval_counts_reused_queries_without_building_hex_digests(self, indexed, tmp_path, capsys):
+        root, work = indexed
+        made = []
+
+        def kept(make):
+            def wrapper(*args, **kwargs):
+                made.append(make(*args, **kwargs))
+                return made[-1]
+            return wrapper
+
+        with (mock.patch.object(cli, "load_index", kept(load_index)),
+              mock.patch.object(cli, "build_index", kept(index.build_index))):
+            assert run(["eval", "--db", str(work / "db.tsv"), "--manifest", str(work / "rot.tsv"),
+                        "--root", str(work / "rot"), "--mode", "hybrid", "--out", str(tmp_path / "pr.csv")]) == 0
+        assert " reused=9 extracted=0 " in capsys.readouterr().err
+        db, queries = made
+        assert db._digest_block is not None and queries._digest_block is not None
+        assert "digests" not in vars(db) and "digests" not in vars(queries)  # the cached_property never ran
+        assert "_digest_rows" in vars(db)  # the map build_index looked the queries up in
 
     @pytest.mark.parametrize("cache", ["with digests", "without digests", "absent"])
     def test_eval_says_when_the_database_carries_no_digests(self, indexed, tmp_path, capsys, cache):

@@ -61,6 +61,44 @@ def peak_inputs(draw):
     return metric, config
 
 
+@st.composite
+def thin_response_inputs(draw):
+    """A binary or gray image in a thin frame (1x1, 1xn, nx1, 2x2 or 3x3), where replicate padding
+    repeats one row or column many times, and a config."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(1, 1), (1, n), (n, 1), (2, 2), (3, 3)]))
+    if draw(st.booleans()):
+        image = BinaryImage(draw(hnp.arrays(np.bool_, shape)))
+    else:
+        image = GrayImage(draw(hnp.arrays(np.uint8, shape)))
+    config = CornerConfig(
+        kappa=draw(st.floats(0.01, 0.24)),
+        window_sigma=draw(st.sampled_from([0.05, 0.3, 1.0, 1.5, 4.0])),
+        window_radius=draw(st.integers(1, 4)),
+    )
+    return image, config
+
+
+@st.composite
+def special_peak_inputs(draw):
+    """A response matrix holding zeros, -0.0, negatives, +-inf, exact ties and, in about a quarter of
+    the cases, one NaN, and an NMS config."""
+    shape = draw(_shapes)
+    elements = st.one_of(
+        st.integers(-2, 4).map(float),  # ties
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+        st.floats(-1e300, 1e300),
+    )
+    metric = draw(hnp.arrays(np.float64, shape, elements=elements))
+    if draw(st.integers(0, 3)) == 0:
+        metric[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = math.nan
+    config = CornerConfig(
+        peak_rel_threshold=draw(st.sampled_from([0.01, 0.3, 0.5, 1.0])),
+        nms_radius=draw(st.integers(1, 3)),
+    )
+    return metric, config
+
+
 class TestCornerConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -166,6 +204,15 @@ class TestCornerMetric:
         )
         assert corner_metric(image, cfg).tobytes() == ref.tobytes()
 
+    @given(thin_response_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_thin_frames_bitwise_equal_to_dense_formulation(self, case):
+        image, cfg = case
+        ref = reference.harris_response_dense(
+            image.pixels, isinstance(image, BinaryImage), cfg.kappa, cfg.window_sigma, cfg.window_radius
+        )
+        assert corner_metric(image, cfg).tobytes() == ref.tobytes()
+
     def test_small_sigma_underflows_window_weights(self):
         # sigma 0.05 at r = 3 leaves only the centre 3x3 of the 7x7 window
         # nonzero, so the oracle test above exercises the zero-weight skip.
@@ -229,6 +276,17 @@ class TestCornerPeaks:
         want = reference.corner_peaks_dense(metric, cfg.peak_rel_threshold, cfg.nms_radius)
         assert corner_peaks(metric, cfg).points == want
 
+    @given(special_peak_inputs())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), CornerConfig()))
+    @example((np.array([[math.inf, math.inf, 1.0]]), CornerConfig(nms_radius=1)))
+    @example((np.array([[1.0, math.nan], [2.0, 0.0]]), CornerConfig()))
+    @example((np.array([[-math.inf, 3.0], [3.0, -1.0]]), CornerConfig(peak_rel_threshold=1.0)))
+    def test_equal_to_dense_nms_on_special_values(self, case):
+        metric, cfg = case
+        want = reference.corner_peaks_dense(metric, cfg.peak_rel_threshold, cfg.nms_radius)
+        assert corner_peaks(metric, cfg).points == want
+
     def test_radius_is_clamped_to_the_image(self, rng):
         metric = rng.integers(-1, 4, (5, 7)).astype(np.float64)
         widest = corner_peaks(metric, CornerConfig(nms_radius=6))
@@ -277,6 +335,22 @@ class TestCornerCount:
     def test_benchmark_shape_counts_are_pinned(self, size):
         counts = [(corner_count(image), corner_count(rotate(image, 60.0))) for _, image in benchmark_shapes(size=size)]
         assert counts == BENCHMARK_COUNTS[size]
+
+    @given(
+        hnp.arrays(np.uint8, _shapes, elements=st.sampled_from([0, 40, 200, 255])),
+        st.integers(0, 255),
+        st.integers(1, 3),
+        st.sampled_from([0.05, 1.0, 1.5]),
+        st.sampled_from([0.01, 0.5, 1.0]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_count_of_the_peaks_of_the_metric(self, pixels, threshold, window_radius, sigma, rel, radius):
+        image = GrayImage(pixels)
+        edge_cfg = EdgeConfig(threshold=threshold)
+        cfg = CornerConfig(window_radius=window_radius, window_sigma=sigma, peak_rel_threshold=rel, nms_radius=radius)
+        metric = corner_metric(prompt_edge(image, edge_cfg), cfg)
+        assert corner_count(image, edge_cfg, cfg) == corner_peaks(metric, cfg).count
 
     def test_runs_on_edge_map_not_grayscale(self, scene):
         # The raw scene has 4 corners; its edge map is a different image
