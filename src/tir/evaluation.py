@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
-from .imaging import RgbImage, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
+from .imaging import RgbImage, _check_angle, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import ThresholdConfig, rank_queries
@@ -93,13 +93,16 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
 
     Output names are `<stem>_rot<angle-in-integer-degrees>.pgm`; class labels
     are inherited from the base entry. Returns the combined manifest with
-    len(base) * len(angles) entries, base-major order. Every name is checked
-    and every base image read before any file is written: a collision or an
-    unreadable base image writes nothing.
+    len(base) * len(angles) entries, base-major order. Every angle and name
+    is checked and every base image read before any file is written: an
+    angle that is not finite (a ValueError), a collision or an unreadable
+    base image writes nothing.
     """
     angles = list(angles)
     if not angles:
         raise ValueError("angles must be non-empty")
+    for angle in angles:
+        _check_angle(angle)
     names = [[f"{Path(rel_path).stem}_rot{int(round(angle))}.pgm" for angle in angles]
              for rel_path, _ in base_manifest.entries]
     seen: set[str] = set()

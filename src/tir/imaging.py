@@ -21,6 +21,11 @@ import numpy as np
 # ITU-R BT.601 luma weights for RGB -> gray.
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
+# rotate computes max(1, BAND_PIXELS // width) output rows at a time, so each
+# float64 or index temporary of a band is 64 KiB, below glibc's 128 KiB mmap
+# threshold: the heap reuses it, and no band faults in fresh pages.
+BAND_PIXELS = 1 << 13
+
 
 class PnmError(ValueError):
     """Malformed or unsupported portable anymap content."""
@@ -67,7 +72,12 @@ class GrayImage(_Raster):
     @classmethod
     def from_real(cls, values: np.ndarray) -> "GrayImage":
         """The image of real-valued intensities, each rounded half to even and clamped to [0, 255]."""
-        return cls(np.clip(np.rint(values), 0, 255).astype(np.uint8))
+        return cls(_round_bytes(values, np.empty(np.shape(values), dtype=np.uint8)))
+
+
+def _round_bytes(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`values` rounded half to even and clamped to [0, 255], written into the uint8 array `out`."""
+    return np.clip(np.rint(values), 0, 255, out=out, casting="unsafe")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,35 +230,54 @@ def rotate(image: GrayImage, angle: float) -> GrayImage:
     input contribute intensity 0; output keeps the input dimensions and is
     rounded and clamped to [0, 255]. The center is ((width-1)/2, (height-1)/2),
     so multiples of 90 degrees on square images land exactly on the grid.
+    An angle that is not finite is a ValueError.
+
+    The output is made BAND_PIXELS pixels (at least one row) at a time, from
+    one copy of the input padded by 2 zero pixels on every side. Besides the
+    input and the output, that copy is the only whole-frame array, so the
+    call holds 2 bytes per pixel plus the temporaries of one band (under
+    1 MB up to a width of BAND_PIXELS). floor(sx) and floor(sy) are clipped
+    to [-2, w] and [-2, h]: a clipped coordinate and its neighbour both lie
+    outside the input and land on padding zeros. The four bilinear weights
+    are >= 0 and are added in corner order, so a padding sample adds +0.0,
+    exactly what masking each out-of-image sample to 0.0 adds: the bytes
+    are those of the masked whole-frame formulation.
     """
+    _check_angle(angle)
     h, w = image.pixels.shape
     theta = math.radians(angle)
     c, s = math.cos(theta), math.sin(theta)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     dx = np.arange(w, dtype=np.float64) - cx
-    dy = np.arange(h, dtype=np.float64)[:, None] - cy
-    # Screen coordinates have y pointing down, so visual CCW uses this matrix.
-    sx = c * dx - s * dy + cx
-    sy = s * dx + c * dy + cy
-    return GrayImage.from_real(_bilinear_black(image.pixels, sx, sy))
+    pw = w + 4
+    padded = np.zeros((h + 4, pw), dtype=np.uint8)
+    padded[2:-2, 2:-2] = image.pixels
+    flat = padded.reshape(-1)
+    out = np.empty((h, w), dtype=np.uint8)
+    rows = max(1, BAND_PIXELS // w)
+    for top in range(0, h, rows):
+        dy = np.arange(top, min(top + rows, h), dtype=np.float64)[:, None] - cy
+        # Screen coordinates have y pointing down, so visual CCW uses this matrix.
+        sx = c * dx - s * dy + cx
+        sy = s * dx + c * dy + cy
+        x0, y0 = np.floor(sx), np.floor(sy)
+        fx, fy = sx - x0, sy - y0
+        gx, gy = 1.0 - fx, 1.0 - fy
+        np.clip(x0, -2, w, out=x0)
+        np.clip(y0, -2, h, out=y0)
+        # The flat index of the (x0, y0) corner, then of (x0+1, y0), (x0, y0+1) and (x0+1, y0+1) in turn.
+        base = (y0 * pw + x0 + (2 * pw + 2)).astype(np.intp)
+        acc = gx * gy * flat.take(base)
+        base += 1
+        acc += fx * gy * flat.take(base)
+        base += pw - 1
+        acc += gx * fy * flat.take(base)
+        base += 1
+        acc += fx * fy * flat.take(base)
+        _round_bytes(acc, out[top : top + len(dy)])
+    return GrayImage(out)
 
 
-def _bilinear_black(pix: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    h, w = pix.shape
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-    values = pix.astype(np.float64)
-    acc = np.zeros(sx.shape, dtype=np.float64)
-    corners = (
-        (x0, y0, (1.0 - fx) * (1.0 - fy)),
-        (x0 + 1, y0, fx * (1.0 - fy)),
-        (x0, y0 + 1, (1.0 - fx) * fy),
-        (x0 + 1, y0 + 1, fx * fy),
-    )
-    for ix, iy, weight in corners:
-        inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        sample = values[np.clip(iy, 0, h - 1), np.clip(ix, 0, w - 1)]
-        acc += weight * np.where(inside, sample, 0.0)
-    return acc
+def _check_angle(angle: float) -> None:
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")

@@ -6,8 +6,9 @@ routes only agree if both are right. The `*_dense` functions are the
 exception: they are the earlier whole-image numpy formulations, kept so that
 tests can require the faster production code to give the same bits; so are
 `moment_table` and `hu_moments_from_table`, the earlier exact moment path,
-and `load_index_per_line`, the earlier loader that validated one record per
-line.
+`load_index_per_line`, the earlier loader that validated one record per
+line, and `rotate_dense` with `_bilinear_black`, the earlier whole-frame
+rotation.
 """
 
 from __future__ import annotations
@@ -424,6 +425,45 @@ def pnm_ascii_samples(raster: bytes, need: int):
             return "non-numeric"
         values.append(int(tok))
     return "maxval" if max(values) > 255 else values
+
+
+# ---------------------------------------------------------------------------
+# Rotation
+
+
+def rotate_dense(image: GrayImage, angle: float) -> GrayImage:
+    """`tir.imaging.rotate` as one whole-frame masked formulation."""
+    h, w = image.pixels.shape
+    theta = math.radians(angle)
+    c, s = math.cos(theta), math.sin(theta)
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    dx = np.arange(w, dtype=np.float64) - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    # Screen coordinates have y pointing down, so visual CCW uses this matrix.
+    sx = c * dx - s * dy + cx
+    sy = s * dx + c * dy + cy
+    return GrayImage.from_real(_bilinear_black(image.pixels, sx, sy))
+
+
+def _bilinear_black(pix: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    h, w = pix.shape
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+    values = pix.astype(np.float64)
+    acc = np.zeros(sx.shape, dtype=np.float64)
+    corners = (
+        (x0, y0, (1.0 - fx) * (1.0 - fy)),
+        (x0 + 1, y0, fx * (1.0 - fy)),
+        (x0, y0 + 1, (1.0 - fx) * fy),
+        (x0 + 1, y0 + 1, fx * fy),
+    )
+    for ix, iy, weight in corners:
+        inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        sample = values[np.clip(iy, 0, h - 1), np.clip(ix, 0, w - 1)]
+        acc += weight * np.where(inside, sample, 0.0)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from tir.imaging import load_image, save_pgm
 from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index, save_index
 from tir.matching import ThresholdConfig, adaptive_threshold
 from tir.shapes import benchmark_shapes
+
+
+# sha256 of every rotated PGM that scripts/run_benchmark.py writes, as `sha256sum` prints them; CI checks the
+# script's files against the same lists.
+PINS = Path(__file__).parent / "pins"
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +149,31 @@ class TestGenerateRotatedDataset:
             generate_rotated_dataset(Manifest(tuple((p, "c") for p in paths)), tmp_path, angles, out)
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("pins, angles", [
+        ("rotated_paper.sha256", [0.0, 60.0, 120.0, 180.0, 240.0, 300.0]),
+        ("rotated_irregular.sha256", [7.0, 23.0, 41.0, 67.0, 113.0, 151.0, 197.0, 229.0, 263.0, 311.0]),
+    ], ids=["paper", "irregular"])
+    def test_benchmark_rotations_match_their_pinned_bytes(self, tmp_path, pins, angles):
+        entries = []
+        for name, img in benchmark_shapes():
+            save_pgm(img, tmp_path / f"{name}.pgm")
+            entries.append((f"{name}.pgm", name))
+        manifest = generate_rotated_dataset(Manifest(tuple(entries)), tmp_path, angles, tmp_path / "out")
+        want = dict(line.split()[::-1] for line in (PINS / pins).read_text().splitlines())
+        got = {path: hashlib.sha256((tmp_path / "out" / path).read_bytes()).hexdigest()
+               for path, _ in manifest.entries}
+        assert got == want
+
     def test_empty_angles_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_rotated_dataset(Manifest((("a.pgm", "c"),)), tmp_path, [], tmp_path / "out")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected_before_any_read_or_write(self, tmp_path, bad):
+        # The base image does not exist, so reaching the read would raise a RuntimeError naming it.
+        with pytest.raises(ValueError, match=rf"^rotation angle must be finite, got {bad!r}$"):
+            generate_rotated_dataset(Manifest((("gone.pgm", "c"),)), tmp_path, [0.0, bad], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:

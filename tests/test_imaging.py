@@ -1,6 +1,9 @@
+import math
 import os
 import stat
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from hypothesis.extra import numpy as hnp
 import mutation
 import reference
 import tir
+from tir import imaging
 from tir.edge import BinaryImage
 from tir.imaging import (
     GrayImage, PnmError, RgbImage, _header_ints, decode_image, load_image, rgb_to_gray, rotate, save_pgm,
 )
+from tir.shapes import benchmark_shapes
 
 gray_pixels = hnp.arrays(
     np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16)
@@ -328,7 +333,77 @@ class TestRgbToGray:
         assert (gray.width, gray.height) == (9, 5)
 
 
+PAPER_ANGLES = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
+IRREGULAR_ANGLES = (7.0, 23.0, 41.0, 67.0, 113.0, 151.0, 197.0, 229.0, 263.0, 311.0)
+
+# Exact quarter turns, a step of 1e-12 either side of zero, ordinary reals, and finite reals far above one turn.
+rotation_angles = st.one_of(
+    st.sampled_from([0.0, 90.0, 180.0, 270.0, -90.0, 360.0, 1e-12, -1e-12]),
+    st.floats(-720.0, 720.0),
+    st.floats(1e6, 1e15) | st.floats(-1e15, -1e6),
+)
+
+
+def _same_bytes_as_oracle(image: GrayImage, angle: float) -> bool:
+    return rotate(image, angle).pixels.tobytes() == reference.rotate_dense(image, angle).pixels.tobytes()
+
+
 class TestRotate:
+    @given(
+        pixels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)),
+        angle=rotation_angles,
+        band=st.sampled_from([1, 2, 7, 40, imaging.BAND_PIXELS]),
+    )
+    @example(pixels=np.full((1, 1), 255, dtype=np.uint8), angle=45.0, band=imaging.BAND_PIXELS)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(1, 40), angle=90.0, band=imaging.BAND_PIXELS)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(40, 1), angle=-1e-12, band=imaging.BAND_PIXELS)
+    @example(pixels=np.arange(40, dtype=np.uint8).reshape(40, 1), angle=3e6 + 0.5, band=7)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_to_dense_oracle(self, pixels, angle, band):
+        # `band` pixels per band: at 1 and 2 every row is its own band whatever the width.
+        with mock.patch.object(imaging, "BAND_PIXELS", band):
+            assert _same_bytes_as_oracle(GrayImage(pixels), angle)
+
+    @pytest.mark.parametrize("height, width", [
+        # Around a band boundary in height (max(1, BAND_PIXELS // 40) rows a band) ...
+        (imaging.BAND_PIXELS // 40 - 1, 40), (imaging.BAND_PIXELS // 40, 40), (imaging.BAND_PIXELS // 40 + 1, 40),
+        (2 * (imaging.BAND_PIXELS // 40) + 1, 40),
+        # ... and in width, where a band shrinks to one row.
+        (3, imaging.BAND_PIXELS - 1), (3, imaging.BAND_PIXELS), (3, imaging.BAND_PIXELS + 1),
+        (1, imaging.BAND_PIXELS + 1), (imaging.BAND_PIXELS + 1, 1),
+    ])
+    @pytest.mark.parametrize("angle", [0.0, 90.0, -33.7, 1e-12, 2.5e6 + 0.3])
+    def test_band_boundaries_equal_to_dense_oracle(self, rng, height, width, angle):
+        image = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        assert _same_bytes_as_oracle(image, angle)
+
+    @pytest.mark.parametrize("angles", [PAPER_ANGLES, IRREGULAR_ANGLES], ids=["paper", "irregular"])
+    def test_benchmark_shapes_equal_to_dense_oracle(self, angles):
+        bad = [(name, angle) for name, image in benchmark_shapes() for angle in angles
+               if not _same_bytes_as_oracle(image, angle)]
+        assert bad == []
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_a_value_error_naming_it(self, angle):
+        image = GrayImage(np.full((4, 5), 9, dtype=np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^rotation angle must be finite, got {angle!r}$"):
+                rotate(image, angle)
+
+    def test_peak_memory_per_pixel_is_bounded(self, rng):
+        # One padded copy of the input and the output are 1 byte per pixel each; every band temporary is
+        # of a fixed size. A whole-frame float64 formulation holds about 160 bytes per pixel.
+        n = 1024
+        image = GrayImage(rng.integers(0, 256, (n, n), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            rotate(image, 33.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n + (1 << 20)
+
     def test_zero_angle_is_identity(self, rng):
         img = GrayImage(rng.integers(0, 256, (13, 17), dtype=np.int64))
         assert np.array_equal(rotate(img, 0).pixels, img.pixels)
