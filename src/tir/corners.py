@@ -226,19 +226,17 @@ def _peaks(shape: tuple[int, int], positions: np.ndarray, values: np.ndarray, co
     label = np.zeros((h + 2 * ry) * pw, dtype=np.min_scalar_type(len(values)))
     label[padded] = np.arange(1, len(values) + 1)
     table = np.concatenate(([0.0], values))
-    above = (values > 0.0) & (values >= config.peak_rel_threshold * global_max)
+    above = np.flatnonzero((values > 0.0) & (values >= config.peak_rel_threshold * global_max))
     cand, vals = padded[above], values[above]
-    keep = np.ones(len(cand), dtype=bool)
-    for dy in range(-ry, ry + 1):
-        for dx in range(-rx, rx + 1):
-            if dy == 0 and dx == 0:
-                continue
-            neighbour = table.take(label.take(cand + (dy * pw + dx)))
-            if dy < 0 or (dy == 0 and dx < 0):
-                keep &= neighbour < vals  # earlier pixel wins ties
-            else:
-                keep &= neighbour <= vals
-    return positions[above][keep]
+    # Nearest ring first, since a close neighbour is the likeliest to beat a candidate; each offset then
+    # compares only the candidates still standing. Their order, row-major, never changes.
+    offsets = sorted(((dy, dx) for dy in range(-ry, ry + 1) for dx in range(-rx, rx + 1) if dy or dx),
+                     key=lambda offset: max(map(abs, offset)))
+    for dy, dx in offsets:
+        neighbour = table.take(label.take(cand + (dy * pw + dx)))
+        keep = neighbour < vals if (dy, dx) < (0, 0) else neighbour <= vals  # an earlier pixel wins ties
+        above, cand, vals = above[keep], cand[keep], vals[keep]
+    return positions[above]
 
 
 def corner_peaks(metric: np.ndarray, config: CornerConfig = CornerConfig()) -> CornerSet:

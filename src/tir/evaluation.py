@@ -7,7 +7,9 @@ and extracts nothing. It ranks the whole query set in one
 runs for one image, then scores each query's top-k. Per query, the relevant
 set is every database record sharing the query's class label; under the
 default leave-in protocol that includes the query's own record (matched by
-path). Results are reported per query plus an unweighted arithmetic mean.
+path). Hits and relevant-set sizes are counted over integer class codes, not
+built as sets. Results are reported per query plus an unweighted arithmetic
+mean.
 The rotated images and PR CSVs are written by `tir.imaging._write_bytes`.
 """
 
@@ -16,11 +18,15 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
-from .imaging import RgbImage, _check_angle, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
+import numpy as np
+
+from ._shown import shown
+from .imaging import RgbImage, _check_angle, _tmp_name, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import ThresholdConfig, rank_queries
@@ -73,19 +79,44 @@ class EvalReport:
 def precision(retrieved, relevant) -> float:
     """N_r / T_r: fraction of retrieved records that are relevant."""
     retrieved = list(retrieved)
-    if not retrieved:
-        raise MetricUndefinedError("precision is undefined for an empty retrieved list")
-    hits = len(set(retrieved) & set(relevant))
-    return hits / len(retrieved)
+    return _precision(len(set(retrieved) & set(relevant)), len(retrieved))
 
 
 def recall(retrieved, relevant) -> float:
     """N_r / T_s: fraction of relevant records that were retrieved."""
     relevant = set(relevant)
+    return _recall(len(set(retrieved) & relevant), len(relevant))
+
+
+def _precision(hits: int, retrieved: int) -> float:
+    if not retrieved:
+        raise MetricUndefinedError("precision is undefined for an empty retrieved list")
+    return hits / retrieved
+
+
+def _recall(hits: int, relevant: int) -> float:
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")
-    hits = len(set(retrieved) & relevant)
-    return hits / len(relevant)
+    return hits / relevant
+
+
+def _class_hits(rows: np.ndarray, lengths: list[int], row_codes: np.ndarray, query_codes: np.ndarray) -> np.ndarray:
+    """Per query i, how many of its `lengths[i]` rows (the next ones in `rows`) hold class `query_codes[i]`."""
+    owner = np.repeat(np.arange(len(query_codes)), lengths)
+    return np.bincount(owner[row_codes[rows] == query_codes[owner]], minlength=len(query_codes))
+
+
+def _name_max(directory: Path) -> int:
+    """The most bytes a file name may have in `directory`, or in its nearest existing ancestor when it is
+    not made yet: the file system's `PC_NAME_MAX`, or 255 if it does not say."""
+    for parent in (directory, *directory.parents):
+        if os.path.isdir(parent):
+            try:
+                limit = os.pathconf(parent, "PC_NAME_MAX")
+            except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit here
+                break
+            return limit if limit > 0 else 255
+    return 255
 
 
 def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> Manifest:
@@ -95,8 +126,9 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
     are inherited from the base entry. Returns the combined manifest with
     len(base) * len(angles) entries, base-major order. Every angle and name
     is checked and every base image read before any file is written: an
-    angle that is not finite (a ValueError), a collision or an unreadable
-    base image writes nothing.
+    angle that is not finite (a ValueError), a collision, a name too long
+    for the output directory's file system (counted with the temporary name
+    it is written through) or an unreadable base image writes nothing.
     """
     angles = list(angles)
     if not angles:
@@ -105,10 +137,18 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
         _check_angle(angle)
     names = [[f"{Path(rel_path).stem}_rot{int(round(angle))}.pgm" for angle in angles]
              for rel_path, _ in base_manifest.entries]
+    out_dir = Path(out_dir)
+    name_max = _name_max(out_dir)
+    extra = len(_tmp_name(""))  # the writer's temporary file has the longest name
     seen: set[str] = set()
     for name in chain.from_iterable(names):
         if name in seen:
-            raise RuntimeError(f"output name collision: {name!r}")
+            raise RuntimeError(f"output name collision: {shown(name)}")
+        size = len(os.fsencode(name))
+        if size + extra > name_max:
+            raise RuntimeError(f"output name too long: {shown(name)} is {size} bytes; names of at most "
+                               f"{name_max - extra} bytes fit here ({name_max} less {extra} for the temporary "
+                               f"file written first)")
         seen.add(name)
     root = Path(root)
     images = []
@@ -118,15 +158,14 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
         except Exception as exc:
             raise RuntimeError(f"base image {rel_path!r}: {exc}") from exc
         images.append(rgb_to_gray(image) if isinstance(image, RgbImage) else image)
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[tuple[str, str]] = []
     for (_, label), image, row in zip(base_manifest.entries, images, names):
         for angle, name in zip(angles, row):
             try:
                 save_pgm(rotate(image, angle), out_dir / name)
-            except OSError as exc:
-                raise RuntimeError(f"writing {name!r}: {exc}") from exc
+            except OSError as exc:  # its message would name the file again, whole
+                raise RuntimeError(f"writing {shown(name)}: {exc.strerror or exc}") from exc
             entries.append((name, label))
     return Manifest(tuple(entries))
 
@@ -153,9 +192,6 @@ def evaluate(
     if not queries.paths:
         raise ValueError("the query set is empty: there is nothing to evaluate")
     columns = db.columns
-    by_class: dict[str, set[int]] = {}
-    for record_id, label in zip(columns.record_ids.tolist(), db.labels):
-        by_class.setdefault(label, set()).add(record_id)
     excluded = None
     if exclude_self:
         # Python strings compare exactly; a numpy str array would drop trailing NULs.
@@ -168,13 +204,24 @@ def evaluate(
     hu_blocks = None if mode is EvalMode.CORNER_ONLY else (queries.columns.log_hu, columns.log_hu)
     ranked, survivors = rank_queries(columns, counts, hu_blocks, k, threshold_cfg=window, excluded=excluded)
 
+    # Record ids are unique, so a query's relevant set is its class's rows less its excluded ones of that
+    # class, and its hits are its ranked rows of its class: counts of rows by integer class code.
+    codes: dict[str, int] = {}
+    row_codes = np.array([codes.setdefault(label, len(codes)) for label in db.labels], dtype=np.intp)
+    query_codes = np.array([codes.setdefault(label, len(codes)) for label in queries.labels], dtype=np.intp)
+    retrieved = [len(rows) for rows in ranked]
+    hits = _class_hits(np.concatenate(ranked), retrieved, row_codes, query_codes)
+    relevant = np.bincount(row_codes, minlength=len(codes))[query_codes]
+    if excluded is not None:
+        own = np.fromiter(chain.from_iterable(excluded), dtype=np.intp)
+        relevant -= _class_hits(own, [len(rows) for rows in excluded], row_codes, query_codes)
+
     results = []
-    for rel_path, label, rows, own in zip(queries.paths, queries.labels, ranked, excluded or repeat([])):
+    for rel_path, label, n_hits, n_retrieved, n_relevant in zip(
+            queries.paths, queries.labels, hits.tolist(), retrieved, relevant.tolist()):
         try:
-            relevant = by_class.get(label, set()) - set(columns.record_ids[own].tolist())
-            retrieved = columns.record_ids[rows].tolist()
-            point = PRPoint(precision(retrieved, relevant), recall(retrieved, relevant))
-        except Exception as exc:
+            point = PRPoint(_precision(n_hits, n_retrieved), _recall(n_hits, n_relevant))
+        except MetricUndefinedError as exc:
             raise RuntimeError(f"query {rel_path!r}: {exc}") from exc
         results.append(QueryResult(rel_path, label, point))
     mean_p = sum(r.point.precision for r in results) / len(results)

@@ -184,6 +184,11 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
     return cls(flat.reshape(shape))
 
 
+def _tmp_name(name: str) -> str:
+    """The name of the new file that `_write_bytes` writes beside `name`, 22 ASCII characters longer."""
+    return f".{name}.{os.urandom(8).hex()}.tmp"
+
+
 def _write_bytes(path, data: bytes) -> None:
     """Write `data` to a new file beside `path` and rename it over `path`.
 
@@ -193,7 +198,7 @@ def _write_bytes(path, data: bytes) -> None:
     not exist gets the default mode (0o666 less the umask).
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(_tmp_name(path.name))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except OSError:  # no file there (or none that can be read), so nothing to keep; the write reports the rest

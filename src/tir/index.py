@@ -65,6 +65,7 @@ does not hold.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -402,6 +403,26 @@ def _read_image_file(path: Path) -> tuple[bytes, bytes]:
     return data, hashlib.sha256(data).digest()
 
 
+def _file_digest(name: str) -> bytes:
+    """The raw sha256 digest of the file `name`, from one unbuffered read."""
+    with open(name, "rb", buffering=0) as file:
+        return hashlib.sha256(file.readall()).digest()
+
+
+def _entry_file(root: Path, rel_path: str) -> str:
+    """The name of the file `root / rel_path` opens, built without a Path when it can be.
+
+    A relative path with no empty or `.` component joins as it is spelled,
+    which is how Path spells it too. Any other spelling (`./a.pgm`,
+    `a//b.pgm`, `b.pgm/`, an absolute path) goes through Path, which drops
+    those components.
+    """
+    components = f"/{rel_path}/"
+    if "//" in components or "/./" in components:
+        return str(root / rel_path)
+    return os.path.join(root, rel_path)
+
+
 def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tuple[bytes, int, HuVector]:
     """The digest of `root / rel_path` and its features from one read of the file.
 
@@ -458,18 +479,20 @@ def build_index(
         known = reuse._digest_rows
     pending = range(n)  # entries to extract
     if known:
-        pending = []
-        cols = reuse.columns
+        pending, held, rows = [], [], []
         for idx, rel_path in enumerate(paths):
             try:
-                digest = _read_image_file(root / rel_path)[1]
+                digest = _file_digest(_entry_file(root, rel_path))
             except Exception:  # left to its worker, which fails the same way in manifest order
                 digest = None
-            if digest in known:
-                row = known[digest]
-                digests[idx], counts[idx], hu[idx] = digest, cols.corner_counts[row], cols.hu[row]
-            else:
+            row = known.get(digest)
+            if row is None:
                 pending.append(idx)
+            else:
+                digests[idx] = digest
+                held.append(idx)
+                rows.append(row)
+        counts[held], hu[held] = reuse.columns.corner_counts[rows], reuse.columns.hu[rows]
     try:
         extracted = map_ordered(partial(_image_features, root, config), [paths[idx] for idx in pending], jobs)
     except ItemError as err:

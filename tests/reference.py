@@ -7,8 +7,8 @@ exception: they are the earlier whole-image numpy formulations, kept so that
 tests can require the faster production code to give the same bits; so are
 `moment_table` and `hu_moments_from_table`, the earlier exact moment path,
 `load_index_per_line`, the earlier loader that validated one record per
-line, and `rotate_dense` with `_bilinear_black`, the earlier whole-frame
-rotation.
+line, `rotate_dense` with `_bilinear_black`, the earlier whole-frame
+rotation, and `evaluate_by_sets`, the earlier scoring of an evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,9 @@ from tir.index import (
     IndexFormatError,
     _parse_cfg_line,
 )
+from tir.evaluation import EvalMode, EvalReport, MetricUndefinedError, PRPoint, QueryResult
 from tir.imaging import GrayImage
+from tir.matching import ThresholdConfig, rank_queries
 from tir.moments import MAX_ORDER, DegenerateImageError, HuVector
 
 # ---------------------------------------------------------------------------
@@ -516,6 +519,60 @@ def rank(query_hu, records, k: int, query_count=None, log_scale: bool = True) ->
 def corner_rank(query_count: int, records, k: int) -> list[int]:
     """Ids of the k records nearest in corner count, ties on record_id."""
     return [r.record_id for r in sorted(records, key=lambda r: (abs(r.corner_count - query_count), r.record_id))[:k]]
+
+
+def set_precision(retrieved, relevant) -> float:
+    retrieved = list(retrieved)
+    if not retrieved:
+        raise MetricUndefinedError("precision is undefined for an empty retrieved list")
+    return len(set(retrieved) & set(relevant)) / len(retrieved)
+
+
+def set_recall(retrieved, relevant) -> float:
+    relevant = set(relevant)
+    if not relevant:
+        raise MetricUndefinedError("recall is undefined for an empty relevant set")
+    return len(set(retrieved) & relevant) / len(relevant)
+
+
+def evaluate_by_sets(db, queries, mode, threshold_cfg=ThresholdConfig(), k: int = 6, *, exclude_self: bool = False):
+    """`tir.evaluation.evaluate` scored on sets of record ids, one query at a time: the earlier scoring.
+
+    It ranks through the same `rank_queries` call. Per query, the relevant set
+    is the ids of its class, less those of its excluded rows, and precision and
+    recall are taken over the sets.
+    """
+    if queries.extraction_config != db.extraction_config:
+        raise ValueError("query features were extracted under a different config than the database's")
+    if not queries.paths:
+        raise ValueError("the query set is empty: there is nothing to evaluate")
+    columns = db.columns
+    by_class: dict[str, set[int]] = {}
+    for record_id, label in zip(columns.record_ids.tolist(), db.labels):
+        by_class.setdefault(label, set()).add(record_id)
+    excluded = None
+    if exclude_self:
+        rows_of: dict[str, list[int]] = {}
+        for row, path in enumerate(db.paths):
+            rows_of.setdefault(path, []).append(row)
+        excluded = [rows_of.get(path, []) for path in queries.paths]
+    counts = queries.columns.corner_counts
+    window = None if mode is EvalMode.MOMENTS_ONLY else threshold_cfg
+    hu_blocks = None if mode is EvalMode.CORNER_ONLY else (queries.columns.log_hu, columns.log_hu)
+    ranked, survivors = rank_queries(columns, counts, hu_blocks, k, threshold_cfg=window, excluded=excluded)
+
+    results = []
+    for rel_path, label, rows, own in zip(queries.paths, queries.labels, ranked, excluded or repeat([])):
+        try:
+            relevant = by_class.get(label, set()) - set(columns.record_ids[own].tolist())
+            retrieved = columns.record_ids[rows].tolist()
+            point = PRPoint(set_precision(retrieved, relevant), set_recall(retrieved, relevant))
+        except Exception as exc:
+            raise RuntimeError(f"query {rel_path!r}: {exc}") from exc
+        results.append(QueryResult(rel_path, label, point))
+    mean_p = sum(r.point.precision for r in results) / len(results)
+    mean_r = sum(r.point.recall for r in results) / len(results)
+    return EvalReport(mode, tuple(results), PRPoint(mean_p, mean_r), float(survivors.mean()))
 
 
 # ---------------------------------------------------------------------------

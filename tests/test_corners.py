@@ -13,7 +13,7 @@ from tir.corners import CornerConfig, CornerSet, corner_count, corner_metric, co
 from tir.edge import BinaryImage, EdgeConfig, prompt_edge
 from tir.imaging import GrayImage, rotate
 from tir.matching import ThresholdConfig
-from tir.shapes import benchmark_shapes, square_scene, square_scene_corners
+from tir.shapes import benchmark_shapes, filled_disc, filled_polygon, square_scene, square_scene_corners
 
 # sha256 over the Harris responses of the 18 benchmark shapes' edge maps, at
 # 0 and 60 degrees, in benchmark order: the dense formulation's bits.
@@ -286,6 +286,21 @@ class TestCornerPeaks:
         metric, cfg = case
         want = reference.corner_peaks_dense(metric, cfg.peak_rel_threshold, cfg.nms_radius)
         assert corner_peaks(metric, cfg).points == want
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_symmetric_shapes_break_ties_as_the_dense_nms_does(self, radius):
+        # A mirror-symmetric shape gives exactly equal responses at mirrored pixels, so the tie rule decides
+        # which of them survive, whichever offset knocks a candidate out first.
+        cfg = CornerConfig(nms_radius=radius)
+        shapes = [square_scene(), rotate(square_scene(), 90.0), filled_disc((31.5, 31.5), 20.0, size=64),
+                  filled_polygon([(32.0, 4.0), (60.0, 32.0), (32.0, 60.0), (4.0, 32.0)], size=64)]
+        for image in shapes:
+            metric = corner_metric(prompt_edge(image), cfg)
+            positive = metric[metric > 0.0]
+            assert len(np.unique(positive)) < len(positive)  # tied
+            want = reference.corner_peaks_dense(metric, cfg.peak_rel_threshold, radius)
+            assert corner_peaks(metric, cfg).points == want
+            assert corner_count(image, EdgeConfig(), cfg) == len(want)
 
     def test_radius_is_clamped_to_the_image(self, rng):
         metric = rng.integers(-1, 4, (5, 7)).astype(np.float64)

@@ -1,12 +1,19 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from tir._shown import shown
+from tir.cli import run
 from tir.evaluation import (
     EvalMode,
     MetricUndefinedError,
@@ -20,7 +27,7 @@ from tir.evaluation import (
 from tir.edge import EdgeConfig
 from tir.imaging import load_image, save_pgm
 from tir.index import ExtractionConfig, FeatureDatabase, Manifest, build_index, load_index, save_index
-from tir.matching import ThresholdConfig, adaptive_threshold
+from tir.matching import FeatureColumns, ThresholdConfig, adaptive_threshold, log_magnitude_array
 from tir.shapes import benchmark_shapes
 
 
@@ -148,6 +155,39 @@ class TestGenerateRotatedDataset:
         with pytest.raises(RuntimeError, match=r"^output name collision: 'tri_rot0.pgm'$"):
             generate_rotated_dataset(Manifest(tuple((p, "c") for p in paths)), tmp_path, angles, out)
         assert list(out.iterdir()) == []
+
+    def test_name_too_long_writes_no_image_and_is_shown_once(self, tmp_path, capsys):
+        # 1e300 is finite, so the angle passes; its name has 310 bytes, which no file system takes.
+        save_pgm(benchmark_shapes()[0][1], tmp_path / "a.pgm")
+        (tmp_path / "base.tsv").write_text("a.pgm\tc\n")
+        name = f"a_rot{int(1e300)}.pgm"
+        code = run(["gen-rotations", "--manifest", str(tmp_path / "base.tsv"), "--root", str(tmp_path),
+                    "--angles", "0,1e300", "--out-dir", str(tmp_path / "out"), "--out-manifest",
+                    str(tmp_path / "rot.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"tir gen-rotations: error: output name too long: {shown(name)} is 310 bytes; ")
+        assert err.count("a_rot") == 1
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "rot.tsv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="reads the file system's PC_NAME_MAX")
+    @pytest.mark.parametrize("char", ["x", "\u00e9"])
+    def test_the_longest_name_that_fits_is_written(self, tmp_path, char):
+        # The writer's temporary file is named `.<name>.<16 hex digits>.tmp`, 22 bytes longer than the name.
+        longest = os.pathconf(tmp_path, "PC_NAME_MAX") - 22
+        stem = char * ((longest - len("_rot0.pgm")) // len(char.encode()))
+        stem += "x" * (longest - len(f"{stem}_rot0.pgm".encode()))
+        image = benchmark_shapes()[0][1]
+        save_pgm(image, tmp_path / f"{stem}.pgm")
+        manifest = generate_rotated_dataset(Manifest(((f"{stem}.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out")
+        assert len(os.fsencode(manifest.entries[0][0])) == longest
+        assert np.array_equal(load_image(tmp_path / "out" / f"{stem}_rot0.pgm").pixels, image.pixels)
+        save_pgm(image, tmp_path / f"{stem}x.pgm")
+        with pytest.raises(RuntimeError, match=f"^output name too long: .* is {longest + 1} bytes; names of at "
+                                               f"most {longest} bytes fit here "):
+            generate_rotated_dataset(Manifest(((f"{stem}x.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out2")
+        assert not (tmp_path / "out2").exists()
 
     @pytest.mark.parametrize("pins, angles", [
         ("rotated_paper.sha256", [0.0, 60.0, 120.0, 180.0, 240.0, 300.0]),
@@ -355,6 +395,59 @@ class TestEvaluate:
         _, _, db = small_eval
         with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             evaluate(db, db, mode, k=k, exclude_self=exclude_self)
+
+
+@st.composite
+def eval_cases(draw):
+    """A database and a query set of random features, and the settings of one evaluation.
+
+    Paths repeat within and across the two sets, some query labels and paths
+    are missing from the database, features tie often, and `k` may exceed
+    the database's size.
+    """
+    def feature_set(paths, labels, size):
+        ids = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size, unique=True))
+        counts = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+        hu = np.array(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, -0.25, 2.0]), min_size=7 * size,
+                                    max_size=7 * size)), dtype=np.float64).reshape(size, 7)
+        columns = FeatureColumns(np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64), hu,
+                                 log_magnitude_array(hu))
+        return FeatureDatabase._from_columns(
+            columns, ExtractionConfig(),
+            paths=tuple(draw(st.lists(st.sampled_from(paths), min_size=size, max_size=size))),
+            labels=tuple(draw(st.lists(st.sampled_from(labels), min_size=size, max_size=size))))
+
+    n = draw(st.integers(0, 12))
+    db = feature_set(["p0", "p1", "p2", "p3"], ["a", "b", "c"], n)
+    labels = sorted(set(db.labels)) or ["d"]
+    if draw(st.booleans()):
+        labels.append("d")  # a class the database does not hold
+    queries = feature_set(["p0", "p1", "p2", "p3", "q"], labels, draw(st.integers(1, 8)))
+    threshold_cfg = ThresholdConfig(base_threshold=draw(st.sampled_from([2.0, 12.0, 40.0])))
+    return (db, queries, draw(st.sampled_from(list(EvalMode))), threshold_cfg, draw(st.integers(1, n + 3)),
+            draw(st.booleans()))
+
+
+class TestScoringOracle:
+    @given(eval_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_equals_the_set_based_scoring(self, case):
+        db, queries, mode, threshold_cfg, k, exclude_self = case
+        outcomes = []
+        for scoring in (evaluate, reference.evaluate_by_sets):
+            try:
+                outcomes.append(scoring(db, queries, mode=mode, threshold_cfg=threshold_cfg, k=k,
+                                        exclude_self=exclude_self))
+            except RuntimeError as exc:  # the first failing query, named, and why
+                outcomes.append((str(exc), type(exc.__cause__)))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], tuple):
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            csvs = [Path(tmp) / f"{i}.csv" for i in range(2)]
+            for report, csv_path in zip(outcomes, csvs):
+                emit_pr_csv(report, csv_path)
+            assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 class TestEmitPrCsv:

@@ -414,6 +414,43 @@ class TestDigestReuse:
         held = [p for p, _ in manifest.entries if p in db.paths] if cache == "bound" else []
         assert extracted == [p for p, _ in manifest.entries if p not in held]
 
+    def test_every_spelling_of_a_held_path_is_reused(self, reuse_dataset, tmp_path, monkeypatch):
+        # `root / rel_path` drops `.` and empty components and a trailing slash, and keeps `..`: each spelling
+        # below names a held image, takes its record's row and extracts nothing, as when the parent opened
+        # `root / rel_path`. Only the image the database does not hold is extracted.
+        root, entries = reuse_dataset
+        (tmp_path / "sub").mkdir()
+        for name, _ in entries[:4]:
+            (tmp_path / "sub" / name).write_bytes((root / name).read_bytes())
+        a, b, c, d = (name for name, _ in entries[:4])
+        spellings = [f"sub/{a}", f"./sub/{a}", f"sub//{b}", f"sub/./{c}", f"sub/{a}/", f"sub/{b}/.",
+                     f"sub/../sub/{c}", str(tmp_path / "sub" / a), f"/{tmp_path}//sub/{b}/", f"sub/{d}"]
+        manifest = Manifest(tuple((spelling, "x") for spelling in spellings))
+        db = load_index(root / "db.tsv")
+        fresh = build_index(manifest, tmp_path)
+        extracted = []
+        image_features = index._image_features
+        monkeypatch.setattr(index, "_image_features", lambda *a: extracted.append(a[-1]) or image_features(*a))
+        reused = build_index(manifest, tmp_path, reuse=db)
+        assert _features(reused) == _features(fresh)
+        assert extracted == [f"sub/{d}"]
+        assert sum(digest in db._digest_rows for digest in index._split_digests(reused._digest_block)) == 9
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the open descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("bad", [None, ".", "missing.pgm", "blank.pgm"])
+    def test_the_digest_pass_leaves_no_descriptor_open(self, reuse_dataset, bad):
+        # "." is the root directory, which opens but cannot be read.
+        root, entries = reuse_dataset
+        manifest = Manifest((*entries[:4], *(((bad, "x"),) if bad else ())))
+        db = load_index(root / "db.tsv")
+        before = len(os.listdir("/proc/self/fd"))
+        if bad is None:
+            build_index(manifest, root, reuse=db)
+        else:
+            with pytest.raises(IndexBuildError, match=f"^manifest entry {bad!r}: "):
+                build_index(manifest, root, reuse=db)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_all_held_starts_no_worker(self, reuse_dataset, monkeypatch):
         root, entries = reuse_dataset
         db = load_index(root / "db.tsv")
