@@ -16,8 +16,6 @@ from .evaluation import (
     emit_pr_csv,
     evaluate,
     generate_rotated_dataset,
-    precision,
-    recall,
 )
 from .imaging import GrayImage, PnmError, RgbImage, load_image, rgb_to_gray, rotate, save_pgm
 from .index import (
@@ -41,16 +39,8 @@ from .matching import (
     ThresholdWindow,
     adaptive_threshold,
     corner_filter,
-    euclidean_distance,
     rank_by_moments,
 )
-from .moments import (
-    DegenerateImageError,
-    HuVector,
-    central_moment,
-    hu_moments,
-    normalized_central_moment,
-    raw_moment,
-)
+from .moments import DegenerateImageError, HuVector, hu_moments
 
 __version__ = "0.1.0"

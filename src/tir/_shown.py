@@ -1,7 +1,9 @@
 """How an error message shows a value it rejects: whole when short, by its size when long.
 
 A message names a long value instead of echoing it, and never fails on one:
-Python's `str()` of an int refuses past 4300 digits.
+Python's `str()` of an int refuses past 4300 digits. A message that names a
+file and passes on an error shows the error by `shown_error`, so the file's
+name appears once.
 """
 
 from __future__ import annotations
@@ -29,3 +31,8 @@ def shown(value, form=repr) -> str:
     if isinstance(value, int) and abs(value) >= 10**SHOWN_WHOLE:
         return f"{'a negative' if value < 0 else 'an'} integer of {_digits(value)} digits"
     return form(value)
+
+
+def shown_error(exc: BaseException) -> str:
+    """The message of `exc`; for an OSError its `strerror` alone, since its message names the file again."""
+    return (exc.strerror if isinstance(exc, OSError) else None) or str(exc)

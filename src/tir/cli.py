@@ -27,7 +27,7 @@ from .corners import CornerConfig
 from .edge import EdgeConfig
 from .evaluation import EvalMode, emit_pr_csv, evaluate, generate_rotated_dataset
 from .imaging import load_image
-from .index import ExtractionConfig, _split_digests, build_index, load_index, query, read_manifest, write_manifest
+from .index import ExtractionConfig, build_index, load_index, query, read_manifest, write_manifest
 from .matching import ThresholdConfig
 from .parallel import usable_cpus
 
@@ -179,10 +179,9 @@ def _cmd_eval(args, config: ThresholdConfig) -> int:
     manifest = read_manifest(args.manifest)
     if db._digest_block is None:
         print(f"tir eval: {args.db} carries no image digests, so every query is extracted", file=sys.stderr)
-    # A query image the database holds byte for byte takes its record's features. The reused ones are
-    # counted on the raw digests, in the map that build_index looked them up in: no hex digest is built.
+    # A query image the database holds byte for byte takes its record's features; build_index counts those.
     queries = build_index(manifest, args.root, db.extraction_config, jobs=args.jobs, reuse=db)
-    reused = sum(digest in db._digest_rows for digest in _split_digests(queries._digest_block))
+    reused = queries._reused
     # The mode goes by keyword: perfbench/tracing.py names the eval span from args[3] or kwargs["mode"].
     report = evaluate(db, queries, mode=EvalMode(args.mode), threshold_cfg=config, k=args.top,
                       exclude_self=args.exclude_self)

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._shown import shown
-from .imaging import RgbImage, _check_angle, _tmp_name, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
+from ._shown import shown, shown_error
+from .imaging import RgbImage, _check_angle, _write_bytes, load_image, rgb_to_gray, rotate, save_pgm
 from .index import FeatureDatabase, Manifest
 from .index import extract_features  # noqa: F401  not called here; kept for perfbench/tracing.py
 from .matching import ThresholdConfig, rank_queries
@@ -76,18 +76,6 @@ class EvalReport:
     mean_survivors: float
 
 
-def precision(retrieved, relevant) -> float:
-    """N_r / T_r: fraction of retrieved records that are relevant."""
-    retrieved = list(retrieved)
-    return _precision(len(set(retrieved) & set(relevant)), len(retrieved))
-
-
-def recall(retrieved, relevant) -> float:
-    """N_r / T_s: fraction of relevant records that were retrieved."""
-    relevant = set(relevant)
-    return _recall(len(set(retrieved) & relevant), len(relevant))
-
-
 def _precision(hits: int, retrieved: int) -> float:
     if not retrieved:
         raise MetricUndefinedError("precision is undefined for an empty retrieved list")
@@ -127,8 +115,8 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
     len(base) * len(angles) entries, base-major order. Every angle and name
     is checked and every base image read before any file is written: an
     angle that is not finite (a ValueError), a collision, a name too long
-    for the output directory's file system (counted with the temporary name
-    it is written through) or an unreadable base image writes nothing.
+    for the output directory's file system or an unreadable base image
+    writes nothing.
     """
     angles = list(angles)
     if not angles:
@@ -139,16 +127,14 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
              for rel_path, _ in base_manifest.entries]
     out_dir = Path(out_dir)
     name_max = _name_max(out_dir)
-    extra = len(_tmp_name(""))  # the writer's temporary file has the longest name
     seen: set[str] = set()
     for name in chain.from_iterable(names):
         if name in seen:
             raise RuntimeError(f"output name collision: {shown(name)}")
         size = len(os.fsencode(name))
-        if size + extra > name_max:
+        if size > name_max:
             raise RuntimeError(f"output name too long: {shown(name)} is {size} bytes; names of at most "
-                               f"{name_max - extra} bytes fit here ({name_max} less {extra} for the temporary "
-                               f"file written first)")
+                               f"{name_max} bytes fit here")
         seen.add(name)
     root = Path(root)
     images = []
@@ -156,7 +142,7 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
         try:
             image = load_image(root / rel_path)
         except Exception as exc:
-            raise RuntimeError(f"base image {rel_path!r}: {exc}") from exc
+            raise RuntimeError(f"base image {shown(rel_path)}: {shown_error(exc)}") from exc
         images.append(rgb_to_gray(image) if isinstance(image, RgbImage) else image)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[tuple[str, str]] = []
@@ -164,8 +150,8 @@ def generate_rotated_dataset(base_manifest: Manifest, root, angles, out_dir) -> 
         for angle, name in zip(angles, row):
             try:
                 save_pgm(rotate(image, angle), out_dir / name)
-            except OSError as exc:  # its message would name the file again, whole
-                raise RuntimeError(f"writing {shown(name)}: {exc.strerror or exc}") from exc
+            except OSError as exc:
+                raise RuntimeError(f"writing {shown(name)}: {shown_error(exc)}") from exc
             entries.append((name, label))
     return Manifest(tuple(entries))
 

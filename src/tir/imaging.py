@@ -184,9 +184,10 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
     return cls(flat.reshape(shape))
 
 
-def _tmp_name(name: str) -> str:
-    """The name of the new file that `_write_bytes` writes beside `name`, 22 ASCII characters longer."""
-    return f".{name}.{os.urandom(8).hex()}.tmp"
+def _tmp_name() -> str:
+    """The name of the new file that `_write_bytes` writes beside its target: 25 ASCII characters, whatever
+    the target's name, so any name the file system takes can be written."""
+    return f".tir.{os.urandom(8).hex()}.tmp"
 
 
 def _write_bytes(path, data: bytes) -> None:
@@ -198,7 +199,7 @@ def _write_bytes(path, data: bytes) -> None:
     not exist gets the default mode (0o666 less the umask).
     """
     path = Path(path)
-    tmp = path.with_name(_tmp_name(path.name))
+    tmp = path.with_name(_tmp_name())
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except OSError:  # no file there (or none that can be read), so nothing to keep; the write reports the rest

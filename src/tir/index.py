@@ -74,6 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._shown import shown, shown_error
 from .corners import CornerConfig, corner_count
 from .edge import EdgeConfig
 from .imaging import GrayImage, RgbImage, _write_bytes, decode_image, rgb_to_gray
@@ -184,16 +185,17 @@ class FeatureDatabase:
 
     @classmethod
     def _from_columns(cls, columns: FeatureColumns, extraction_config: ExtractionConfig, digest_block=None,
-                      **texts) -> "FeatureDatabase":
+                      *, reused: int = 0, **texts) -> "FeatureDatabase":
         """A database over columns (and digests) that load_index or build_index has validated.
 
         `texts` gives the paths and labels as tuples (`paths`, `labels`) or
         as a column cache's blocks (`_path_block`, `_label_block`); the other
         form is made from it on first use. `digest_block` is None or the
-        records' raw sha256 digests, joined in record order.
+        records' raw sha256 digests, joined in record order; `reused` sets `_reused`.
         """
         db = cls.__new__(cls)
-        vars(db).update(texts, columns=columns, extraction_config=extraction_config, _digest_block=digest_block)
+        vars(db).update(texts, columns=columns, extraction_config=extraction_config, _digest_block=digest_block,
+                        _reused=reused)
         return db
 
     def __setattr__(self, name, value):
@@ -222,14 +224,18 @@ class FeatureDatabase:
             return None
         return tuple(block.hex(" ", _DIGEST_BYTES).split(" ")) if block else ()
 
+    # How many entries `build_index(reuse=)` took from `reuse`, counted in its digest pass; 0 for any other
+    # database. `tir eval` prints it as `reused=`.
+    _reused = 0
+
     @cached_property
     def _digest_rows(self) -> dict[bytes, int]:
         """The row of each raw image digest (the last row, if several records have it); empty without digests.
 
-        `build_index(reuse=)` looks images up here and `tir eval` counts the reused ones, so neither builds
-        `digests`, and the second pays nothing for the map the first made.
+        `build_index(reuse=)` looks images up here, so `digests` is never built.
         """
-        return {digest: row for row, digest in enumerate(_split_digests(self._digest_block or b""))}
+        block = self._digest_block or b""
+        return {block[at:at + _DIGEST_BYTES]: at // _DIGEST_BYTES for at in range(0, len(block), _DIGEST_BYTES)}
 
     @cached_property
     def records(self) -> tuple[FeatureRecord, ...]:
@@ -248,11 +254,6 @@ class FeatureDatabase:
     def entries(self, rows) -> list[tuple[str, str]]:
         """The (path, class_label) of each row in `rows`, decoding from the blocks only these rows."""
         return list(zip(_block_entries(self._path_block, rows), _block_entries(self._label_block, rows)))
-
-
-def _split_digests(block: bytes) -> list[bytes]:
-    """The raw 32-byte sha256 digests joined in `block`, in order."""
-    return [block[at:at + _DIGEST_BYTES] for at in range(0, len(block), _DIGEST_BYTES)]
 
 
 def _split_block(block: bytes) -> list[str]:
@@ -436,7 +437,7 @@ def _image_features(root: Path, config: ExtractionConfig, rel_path: str) -> tupl
 
 
 def _entry_error(rel_path: str, exc: BaseException) -> IndexBuildError:
-    return IndexBuildError(f"manifest entry {rel_path!r}: {exc}")
+    return IndexBuildError(f"manifest entry {shown(rel_path)}: {shown_error(exc)}")
 
 
 def build_index(
@@ -500,7 +501,8 @@ def build_index(
     for idx, (digest, count, hu_vector) in zip(pending, extracted):
         digests[idx], counts[idx], hu[idx] = digest, count, hu_vector.phi
     columns = FeatureColumns(np.arange(n, dtype=np.int64), counts, hu, log_magnitude_array(hu))
-    db = FeatureDatabase._from_columns(columns, config, b"".join(digests), paths=paths, labels=labels)
+    db = FeatureDatabase._from_columns(columns, config, b"".join(digests), paths=paths, labels=labels,
+                                       reused=n - len(pending))
     if out is not None:
         save_index(db, out)
     return db

@@ -1,5 +1,5 @@
-"""Similarity measurement: Euclidean distance, the adaptive corner-count
-window, corner-band candidate filtering and moment-based ranking.
+"""Similarity measurement: the adaptive corner-count window, corner-band
+candidate filtering and ranking by Euclidean moment distance.
 
 The window around a query's corner count widens multiplicatively with the
 count band: Threshold = base_threshold * multiplier^floor(count / band_width),
@@ -77,15 +77,6 @@ class RankedMatch:
             raise ValueError("corner_difference must be >= 0")
         if not math.isfinite(self.moment_distance) or self.moment_distance < 0.0:
             raise ValueError("moment_distance must be finite and >= 0")
-
-
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """sqrt of the summed squared component differences: the one cell of `moment_distances` for `a` and `b`."""
-    if len(a) != len(b):
-        raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    if len(a) < 1:
-        raise ValueError("vectors must have at least one component")
-    return float(moment_distances(np.array([a], np.float64), np.array([b], np.float64))[0, 0])
 
 
 def adaptive_threshold(count: int, config: ThresholdConfig = ThresholdConfig()) -> ThresholdWindow:
@@ -169,8 +160,7 @@ def moment_distances(query_vectors: np.ndarray, vectors: np.ndarray) -> np.ndarr
     Each squared difference is a product (`** 2` goes through the C library's
     pow, which is not always correctly rounded), added to the running sums one
     component at a time from the left (Python 3.12's `sum` would compensate
-    rounding). So each cell has the same bits in any block: `euclidean_distance`
-    is one cell.
+    rounding). So each cell has the same bits in any block.
     """
     total = np.zeros((len(query_vectors), len(vectors)))
     for j in range(vectors.shape[1]):

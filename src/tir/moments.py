@@ -1,4 +1,4 @@
-"""Raw, central, normalized central and Hu invariant moments.
+"""Hu invariant moments, from exact raw, central and normalized central moments.
 
 Definitions (x = column index, y = row index, f = intensity):
 
@@ -7,7 +7,7 @@ Definitions (x = column index, y = row index, f = intensity):
              xbar = m10 / m00, ybar = m01 / m00
     eta_pq = mu_pq / m00^gamma,  gamma = (p + q) / 2 + 1
 
-One exact path serves every public function. `_integer_raw_moments` forms
+One exact path serves `hu_moments`. `_integer_raw_moments` forms
 all sixteen raw moments (p, q <= 3) from one (h, w) @ (w, 4) integer matmul
 against the column powers x^0..x^3, then one Python-integer (4, h) @ (h, 4)
 contraction against the row powers y^0..y^3. `_mu_eta` holds the m00 check
@@ -95,26 +95,6 @@ def _mu_eta(m: dict[tuple[int, int], int], p: int, q: int) -> tuple[float, float
     return mu, mu / float(m00) ** ((p + q) / 2.0 + 1.0)
 
 
-def raw_moment(image: GrayImage, p: int, q: int) -> float:
-    """m_pq as an exact double sum; 0^0 counts as 1."""
-    _check_order(p, q)
-    return float(_integer_raw_moments(image.pixels)[(p, q)])
-
-
-def central_moment(image: GrayImage, p: int, q: int) -> float:
-    """mu_pq about the intensity centroid. Raises for all-zero images."""
-    _check_order(p, q)
-    return _mu_eta(_integer_raw_moments(image.pixels), p, q)[0]
-
-
-def normalized_central_moment(image: GrayImage, p: int, q: int) -> float:
-    """eta_pq = mu_pq / m00^((p+q)/2 + 1); requires p + q >= 2."""
-    _check_order(p, q)
-    if p + q < 2:
-        raise ValueError(f"normalized central moments need p + q >= 2, got ({p}, {q})")
-    return _mu_eta(_integer_raw_moments(image.pixels), p, q)[1]
-
-
 def hu_moments(image: GrayImage) -> HuVector:
     """The seven Hu invariants of the grayscale image."""
     m = _integer_raw_moments(image.pixels)
@@ -131,10 +111,3 @@ def hu_moments(image: GrayImage) -> HuVector:
     phi6 = (e20 - e02) * (a * a - b * b) + 4.0 * e11 * a * b
     phi7 = (3.0 * e21 - e03) * a * (a * a - 3.0 * b * b) - (e30 - 3.0 * e12) * b * (3.0 * a * a - b * b)
     return HuVector((phi1, phi2, phi3, phi4, phi5, phi6, phi7))
-
-
-def _check_order(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise ValueError(f"moment orders must be integers, got ({p!r}, {q!r})")
-    if p < 0 or q < 0 or p > MAX_ORDER or q > MAX_ORDER:
-        raise ValueError(f"moment orders must lie in [0, {MAX_ORDER}], got ({p}, {q})")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fixtures import square_scene
 from tir.imaging import GrayImage
 from tir.index import FeatureRecord
-from tir.shapes import square_scene
 
 
 @pytest.fixture

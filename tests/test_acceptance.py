@@ -13,22 +13,16 @@ import numpy as np
 import pytest
 
 import reference
+from fixtures import filled_disc, filled_triangle, solid_square, square_scene, square_scene_corners
 from tir.cli import run
 from tir.corners import CornerConfig, corner_metric, corner_peaks
 from tir.edge import EdgeConfig, prompt_edge
-from tir.evaluation import EvalMode, evaluate, generate_rotated_dataset, precision, recall
+from tir.evaluation import EvalMode, _precision, _recall, evaluate, generate_rotated_dataset
 from tir.imaging import GrayImage, load_image, rotate, save_pgm
 from tir.index import ExtractionConfig, Manifest, build_index, extract_features, query, write_manifest
 from tir.matching import ThresholdConfig, adaptive_threshold
-from tir.moments import central_moment, hu_moments, normalized_central_moment, raw_moment
-from tir.shapes import (
-    benchmark_shapes,
-    filled_disc,
-    filled_triangle,
-    solid_square,
-    square_scene,
-    square_scene_corners,
-)
+from tir.moments import _integer_raw_moments, _mu_eta, hu_moments
+from tir.shapes import benchmark_shapes
 
 ANGLES = [0.0, 60.0, 120.0, 180.0, 240.0, 300.0]
 
@@ -75,7 +69,11 @@ def experiment(tmp_path_factory):
 
 
 def test_c01_moment_oracle_equivalence(rng):
-    """Criterion 1: all four moment operations match the nested-loop oracle."""
+    """Criterion 1: all four moment operations match the nested-loop oracle.
+
+    The raw, central and normalized central moments are those `hu_moments` runs on: `_integer_raw_moments`
+    and `_mu_eta`.
+    """
     with criterion("C01 moment oracle equivalence (50 images, <=1e-12, <=5s)"):
         started = time.perf_counter()
         orders = [(p, q) for p in range(4) for q in range(4)]
@@ -87,19 +85,19 @@ def test_c01_moment_oracle_equivalence(rng):
             if not pix.any():
                 pix[0, 0] = 1
             img = GrayImage(pix)
+            raw = _integer_raw_moments(img.pixels)
             m00 = reference.raw_moment(pix, 0, 0)
             for p, q in orders:
-                got = raw_moment(img, p, q)
+                got = float(raw[(p, q)])
                 want = reference.raw_moment(pix, p, q)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-                got = central_moment(img, p, q)
+                mu, eta = _mu_eta(raw, p, q)
                 want = reference.central_moment(pix, p, q)
                 scale = reference.central_abs_sum(pix, p, q)
-                assert abs(got - want) <= 1e-12 * max(1.0, scale)
+                assert abs(mu - want) <= 1e-12 * max(1.0, scale)
                 if p + q >= 2:
-                    got = normalized_central_moment(img, p, q)
                     want = reference.normalized_moment(pix, p, q)
-                    assert abs(got - want) <= 1e-12 * max(1.0, scale / m00 ** ((p + q) / 2.0 + 1.0))
+                    assert abs(eta - want) <= 1e-12 * max(1.0, scale / m00 ** ((p + q) / 2.0 + 1.0))
             for got, want in zip(hu_moments(img), reference.hu(pix)):
                 assert abs(got - want) <= 1e-12 * hu_scale(want)
         elapsed = time.perf_counter() - started
@@ -190,13 +188,16 @@ def test_c07_threshold_windows():
 
 
 def test_c08_precision_recall_formulas():
-    """Criterion 8: the attainable precision/recall pairs reproduce."""
+    """Criterion 8: the attainable precision/recall pairs reproduce.
+
+    `_precision` and `_recall` are the formulas `evaluate` scores with, on counts of hits.
+    """
     with criterion("C08 precision/recall reference pairs"):
-        relevant = set(range(6))
-        assert precision(list(range(5)), relevant) == 1.0
-        assert abs(recall(list(range(5)), relevant) - 5.0 / 6.0) <= 1e-9
-        assert precision(list(range(3)), relevant) == 1.0
-        assert recall(list(range(3)), relevant) == 0.5
+        # Records 0-4, then 0-2, retrieved of the six relevant records 0-5: 5 hits of 5, then 3 of 3.
+        assert _precision(5, 5) == 1.0
+        assert abs(_recall(5, 6) - 5.0 / 6.0) <= 1e-9
+        assert _precision(3, 3) == 1.0
+        assert _recall(3, 6) == 0.5
 
 
 def test_c09_dataset_protocol(experiment):

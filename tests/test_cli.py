@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import runpy
 import struct
 from dataclasses import replace
@@ -601,6 +602,27 @@ class TestPipeline:
         assert db._digest_block is not None and queries._digest_block is not None
         assert "digests" not in vars(db) and "digests" not in vars(queries)  # the cached_property never ran
         assert "_digest_rows" in vars(db)  # the map build_index looked the queries up in
+
+    def test_eval_counts_as_reused_only_what_the_digest_pass_took(self, indexed, tmp_path, capsys, monkeypatch):
+        # The pass cannot open one held query, so its worker extracts it: it counts as extracted, and the
+        # CSV is the same.
+        root, work = indexed
+        held = read_manifest(work / "rot.tsv").entries
+        argv = ["eval", "--db", str(work / "db.tsv"), "--manifest", str(work / "rot.tsv"), "--root", str(work / "rot"),
+                "--mode", "hybrid", "--jobs", "1"]
+        assert run([*argv, "--out", str(tmp_path / "held.csv")]) == 0
+        capsys.readouterr()
+        file_digest = index._file_digest
+
+        def unopened(name):
+            if os.path.basename(name) == held[0][0]:
+                raise PermissionError("the pass cannot open it")
+            return file_digest(name)
+
+        monkeypatch.setattr(index, "_file_digest", unopened)
+        assert run([*argv, "--out", str(tmp_path / "pr.csv")]) == 0
+        assert f" reused={len(held) - 1} extracted=1 " in capsys.readouterr().err
+        assert (tmp_path / "pr.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
 
     @pytest.mark.parametrize("cache", ["with digests", "without digests", "absent"])
     def test_eval_says_when_the_database_carries_no_digests(self, indexed, tmp_path, capsys, cache):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
+from fixtures import filled_disc, square_scene, square_scene_corners
 from tir.corners import CornerConfig, CornerSet, corner_count, corner_metric, corner_peaks, gaussian_kernel
 from tir.edge import BinaryImage, EdgeConfig, prompt_edge
 from tir.imaging import GrayImage, rotate
 from tir.matching import ThresholdConfig
-from tir.shapes import benchmark_shapes, filled_disc, filled_polygon, square_scene, square_scene_corners
+from tir.shapes import benchmark_shapes, filled_polygon
 
 # sha256 over the Harris responses of the 18 benchmark shapes' edge maps, at
 # 0 and 60 degrees, in benchmark order: the dense formulation's bits.

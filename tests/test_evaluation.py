@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import os
 import re
@@ -18,11 +19,11 @@ from tir.evaluation import (
     EvalMode,
     MetricUndefinedError,
     PRPoint,
+    _precision,
+    _recall,
     emit_pr_csv,
     evaluate,
     generate_rotated_dataset,
-    precision,
-    recall,
 )
 from tir.edge import EdgeConfig
 from tir.imaging import load_image, save_pgm
@@ -51,35 +52,36 @@ def small_eval(tmp_path_factory):
 
 
 class TestPrecisionRecall:
+    """`_precision(hits, retrieved)` and `_recall(hits, relevant)`, the formulas `evaluate` scores with."""
+
     def test_five_of_six_class_members(self):
-        retrieved = [0, 1, 2, 3, 4]
-        relevant = {0, 1, 2, 3, 4, 5}
-        assert precision(retrieved, relevant) == 1.0
-        assert abs(recall(retrieved, relevant) - 5.0 / 6.0) <= 1e-9
+        # Records 0-4 retrieved, 0-5 relevant.
+        assert _precision(5, 5) == 1.0
+        assert abs(_recall(5, 6) - 5.0 / 6.0) <= 1e-9
 
     def test_three_of_six_class_members(self):
-        retrieved = [0, 1, 2]
-        relevant = {0, 1, 2, 3, 4, 5}
-        assert precision(retrieved, relevant) == 1.0
-        assert recall(retrieved, relevant) == 0.5
+        # Records 0-2 retrieved, 0-5 relevant.
+        assert _precision(3, 3) == 1.0
+        assert _recall(3, 6) == 0.5
 
     def test_exact_retrieval(self):
-        assert precision([1, 2], {1, 2}) == 1.0
-        assert recall([1, 2], {1, 2}) == 1.0
+        assert _precision(2, 2) == 1.0
+        assert _recall(2, 2) == 1.0
 
     def test_partial_overlap(self):
-        assert precision([1, 2, 3, 4], {1, 2, 9}) == 0.5
+        # Records 1-4 retrieved, {1, 2, 9} relevant.
+        assert _precision(2, 4) == 0.5
 
     def test_disjoint_sets(self):
-        assert recall([1, 2], {3, 4}) == 0.0
+        assert _recall(0, 2) == 0.0
 
     def test_empty_retrieved_is_an_error(self):
         with pytest.raises(MetricUndefinedError):
-            precision([], {1})
+            _precision(0, 0)
 
     def test_empty_relevant_is_an_error(self):
         with pytest.raises(MetricUndefinedError):
-            recall([1], set())
+            _recall(0, 0)
 
     def test_precision_monotone_in_overlap_for_fixed_size(self):
         # Exhaustive over retrieved sets of size 4 from a 6-element universe.
@@ -89,7 +91,7 @@ class TestPrecisionRecall:
         by_overlap: dict[int, set[float]] = {}
         for retrieved in itertools.combinations(range(6), 4):
             overlap = len(set(retrieved) & relevant)
-            by_overlap.setdefault(overlap, set()).add(precision(list(retrieved), relevant))
+            by_overlap.setdefault(overlap, set()).add(_precision(overlap, len(retrieved)))
         overlaps = sorted(by_overlap)
         values = [max(by_overlap[o]) for o in overlaps]
         assert all(len(by_overlap[o]) == 1 for o in overlaps)  # depends only on overlap
@@ -134,6 +136,13 @@ class TestGenerateRotatedDataset:
         with pytest.raises(RuntimeError, match="gone.pgm"):
             generate_rotated_dataset(Manifest((("gone.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out")
 
+    def test_a_long_missing_base_image_is_named_once_shortened(self, tmp_path):
+        # An OSError is shown by its strerror, which does not name the file again.
+        name = "gone" * 12 + ".pgm"  # 52 characters
+        with pytest.raises(RuntimeError) as failed:
+            generate_rotated_dataset(Manifest(((name, "c"),)), tmp_path, [0.0], tmp_path / "out")
+        assert str(failed.value) == f"base image {shown(name)}: {os.strerror(errno.ENOENT)}"
+
     def test_unreadable_base_image_writes_no_image(self, tmp_path):
         save_pgm(benchmark_shapes()[0][1], tmp_path / "a.pgm")
         (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
@@ -174,8 +183,8 @@ class TestGenerateRotatedDataset:
     @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="reads the file system's PC_NAME_MAX")
     @pytest.mark.parametrize("char", ["x", "\u00e9"])
     def test_the_longest_name_that_fits_is_written(self, tmp_path, char):
-        # The writer's temporary file is named `.<name>.<16 hex digits>.tmp`, 22 bytes longer than the name.
-        longest = os.pathconf(tmp_path, "PC_NAME_MAX") - 22
+        # The writer's temporary file has a fixed, shorter name, so every name the file system takes fits.
+        longest = os.pathconf(tmp_path, "PC_NAME_MAX")
         stem = char * ((longest - len("_rot0.pgm")) // len(char.encode()))
         stem += "x" * (longest - len(f"{stem}_rot0.pgm".encode()))
         image = benchmark_shapes()[0][1]
@@ -185,7 +194,7 @@ class TestGenerateRotatedDataset:
         assert np.array_equal(load_image(tmp_path / "out" / f"{stem}_rot0.pgm").pixels, image.pixels)
         save_pgm(image, tmp_path / f"{stem}x.pgm")
         with pytest.raises(RuntimeError, match=f"^output name too long: .* is {longest + 1} bytes; names of at "
-                                               f"most {longest} bytes fit here "):
+                                               f"most {longest} bytes fit here$"):
             generate_rotated_dataset(Manifest(((f"{stem}x.pgm", "c"),)), tmp_path, [0.0], tmp_path / "out2")
         assert not (tmp_path / "out2").exists()
 

@@ -312,6 +312,13 @@ class TestSavePgm:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "x.pgm").stat().st_mode) == 0o640
 
+    def test_a_long_name_is_written_and_leaves_no_temporary_file(self, tmp_path):
+        # The temporary file's name has a fixed length, so it fits wherever a 240-byte name does.
+        name = "x" * 236 + ".pgm"
+        save_pgm(GrayImage(np.array([[7]], dtype=np.uint8)), tmp_path / name)
+        assert load_image(tmp_path / name).pixels.tolist() == [[7]]
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
 
 class TestRgbToGray:
     @pytest.mark.parametrize(

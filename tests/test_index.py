@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import mutation
 import reference
 from tir import index
+from tir._shown import shown
 from tir.cli import run
 from tir.corners import CornerConfig, corner_count
 from tir.edge import EdgeConfig
@@ -38,7 +40,7 @@ from tir.index import (
 )
 from tir.matching import FeatureColumns, ThresholdConfig, corner_filter
 from tir.moments import DegenerateImageError, HuVector, hu_moments
-from tir.shapes import benchmark_shapes, square_scene
+from tir.shapes import benchmark_shapes
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +360,17 @@ class TestBuildIndex:
         assert failures[0][1].startswith(f"manifest entry {bad!r}: ")
         assert not (tmp_path / "db.tsv").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_long_missing_entry_is_named_once_shortened(self, shape_dataset, tmp_path, jobs):
+        # The error is shown by its strerror, since an OSError's message would name the file again, whole.
+        root, manifest = shape_dataset
+        bad = "missing" * 8 + ".pgm"  # 60 characters
+        entries = [(str(root / p), c) for p, c in manifest.entries]
+        with pytest.raises(IndexBuildError) as failed:
+            build_index(Manifest((*entries[:2], (bad, "x"))), tmp_path, jobs=jobs)
+        assert str(failed.value) == f"manifest entry {shown(bad)}: {os.strerror(errno.ENOENT)}"
+        assert multiprocessing.active_children() == []
+
 
 @pytest.fixture(scope="module")
 def reuse_dataset(tmp_path_factory):
@@ -434,7 +447,7 @@ class TestDigestReuse:
         reused = build_index(manifest, tmp_path, reuse=db)
         assert _features(reused) == _features(fresh)
         assert extracted == [f"sub/{d}"]
-        assert sum(digest in db._digest_rows for digest in index._split_digests(reused._digest_block)) == 9
+        assert reused._reused == 9
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the open descriptors in /proc/self/fd")
     @pytest.mark.parametrize("bad", [None, ".", "missing.pgm", "blank.pgm"])
