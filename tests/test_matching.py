@@ -67,6 +67,18 @@ class TestEuclideanDistance:
         ranked = rank_by_moments(HuVector(a), columns([record(0, phi=b)]), 1, log_scale=False)
         assert cell_distance(a, b) == ranked[0].moment_distance == reference.euclidean(a, b)
 
+    def test_every_cell_of_a_block_has_the_bits_of_its_pair(self, rng):
+        queries = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-15, 2, size=(5, 7))
+        rows = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-15, 2, size=(9, 7))
+        block = moment_distances(queries, rows)
+        assert block.shape == (5, 9)
+        for i, j in itertools.product(range(5), range(9)):
+            assert block[i, j] == cell_distance(queries[i], rows[j]), (i, j)
+
+    def test_empty_blocks_give_empty_grids(self):
+        assert moment_distances(np.zeros((3, 7)), np.zeros((0, 7))).shape == (3, 0)
+        assert moment_distances(np.zeros((0, 7)), np.zeros((4, 7))).shape == (0, 4)
+
 
 class TestThresholdConfig:
     @pytest.mark.parametrize(

@@ -101,6 +101,12 @@ class TestRawMoment:
             assert _integer_raw_moments(pix[:1])[(3, 0)] == 10198980025500000000
 
 
+    def test_table_holds_every_order_up_to_three_as_python_ints(self, rng):
+        raw = _integer_raw_moments(rng.integers(0, 256, (6, 5)).astype(np.uint8))
+        assert sorted(raw) == [(p, q) for p in range(4) for q in range(4)]
+        assert all(type(value) is int for value in raw.values())
+
+
 class TestCentralMoment:
     def test_first_order_vanishes_exactly(self, rng):
         img = GrayImage(rng.integers(0, 256, (9, 7), dtype=np.int64))
@@ -140,6 +146,12 @@ class TestCentralMoment:
 
 
 class TestNormalizedCentralMoment:
+    def test_zeroth_is_one_and_first_order_vanishes(self, rng):
+        img = GrayImage(rng.integers(1, 256, (7, 6), dtype=np.int64))
+        assert mu_eta(img, 0, 0)[1] == 1.0
+        assert mu_eta(img, 1, 0)[1] == 0.0
+        assert mu_eta(img, 0, 1)[1] == 0.0
+
     def test_square_approaches_continuous_limit(self):
         # Uniform unit-intensity square of side 64: eta20 -> 1/12.
         img = solid_square(64, 1)
